@@ -79,10 +79,14 @@ triagecheck:
 	$(GO) test -race ./internal/costmodel/ -count=1
 	$(GO) test -race ./internal/sweep/ -run Triage -count=1
 
-# Short fuzz pass over every fuzz target (currently canonical-code
-# permutation invariance and collision soundness); CI-sized budget.
+# Short fuzz pass over every fuzz target — canonical-code permutation
+# invariance and collision soundness, and the graph and store decoders
+# (hostile bytes must be an error, never a crash or an OOM); CI-sized
+# budget.
 fuzz:
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s
+	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzDecodeBinaryGraph -fuzztime 30s
+	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s
 
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its
@@ -102,9 +106,13 @@ golden:
 
 # The fault-injection and ladder suites under the race detector: every
 # failure mode (panic, non-convergence, timeout, cancellation) must
-# surface per cell while the rest of the run completes (DESIGN.md §8).
+# surface per cell while the rest of the run completes (DESIGN.md §8) —
+# including a panic injected into a sweep cell, a sweep front-end build,
+# and an apexd job, after which the daemon keeps serving.
 faultcheck:
 	$(GO) test -race ./internal/fault/ ./internal/eval/ -run 'Fault|KeepGoing|Cancel|Timeout|Memo'
+	$(GO) test -race ./internal/memo/
+	$(GO) test -race ./internal/sweep/ ./internal/serve/ -run 'Panic'
 	$(GO) test -race ./internal/core/ -run 'PnR|Cancellation'
 
 # Library code must use the internal/fault taxonomy, not panics or

@@ -47,6 +47,19 @@ import (
 	"repro/internal/serve"
 )
 
+// HTTP server timeouts. Requests are small JSON documents, so a client
+// must send its headers and body promptly, and idle keep-alive
+// connections are reaped. WriteTimeout stays unset: /api/v1/events is
+// an SSE stream that writes for as long as the subscriber listens. The
+// stream outlives ReadTimeout too — net/http lifts the read deadline
+// once a body-less GET reaches its handler (pinned by
+// TestEventStreamOutlivesReadTimeout in internal/serve).
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("apexd: ")
@@ -133,7 +146,12 @@ func run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.Serve(ln) }()
 	o.Logger.Info("apexd listening", "addr", ln.Addr().String(),

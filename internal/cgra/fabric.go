@@ -167,12 +167,6 @@ func (f *Fabric) numSites() int { return (f.W + 2) * (f.H + 2) }
 // siteIndex maps a grid or ring coordinate to its dense index.
 func (f *Fabric) siteIndex(c Coord) int32 { return int32((c.Y+1)*(f.W+2) + c.X + 1) }
 
-// siteCoord inverts siteIndex.
-func (f *Fabric) siteCoord(i int32) Coord {
-	w := f.W + 2
-	return Coord{int(i)%w - 1, int(i)/w - 1}
-}
-
 // NumTiles returns the compute-grid tile count.
 func (f *Fabric) NumTiles() int { return f.W * f.H }
 

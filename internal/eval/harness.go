@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,7 +21,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/rewrite"
 	"repro/internal/store"
@@ -70,19 +69,14 @@ type Harness struct {
 	// instrumentation point on its zero-cost disabled path.
 	obs *obs.Obs
 
-	analyses *memoTable[*core.Analysis]
-	variants *memoTable[*core.PEVariant]
-	results  *memoTable[*core.Result]
+	analyses *memo.Table[*core.Analysis]
+	variants *memo.Table[*core.PEVariant]
+	results  *memo.Table[*core.Result]
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
-	// The key fields memoize the app/registry fingerprints so hashing an
-	// app graph happens once per process, not once per lookup.
-	store        *store.Store
-	keyMu        sync.Mutex
-	appKeys      map[string]store.Key
-	registryOnce sync.Once
-	registry     store.Key
+	store *store.Store
+	keys  store.Keys
 }
 
 // NewHarness returns a harness with the paper's defaults.
@@ -90,9 +84,9 @@ func NewHarness() *Harness {
 	return &Harness{
 		FW:       core.New(),
 		Report:   &Report{},
-		analyses: newMemoTable[*core.Analysis](),
-		variants: newMemoTable[*core.PEVariant](),
-		results:  newMemoTable[*core.Result](),
+		analyses: memo.New[*core.Analysis]("eval"),
+		variants: memo.New[*core.PEVariant]("eval"),
+		results:  memo.New[*core.Result]("eval"),
 	}
 }
 
@@ -105,9 +99,9 @@ func (h *Harness) SetObs(o *obs.Obs) {
 	if o != nil {
 		reg = o.Metrics
 	}
-	h.analyses.instrument("analyses", reg)
-	h.variants.instrument("variants", reg)
-	h.results.instrument("results", reg)
+	h.analyses.Instrument("analyses", reg)
+	h.variants.Instrument("variants", reg)
+	h.results.Instrument("results", reg)
 }
 
 // ResetMemos drops every in-memory memoized analysis, variant, and
@@ -118,9 +112,9 @@ func (h *Harness) SetObs(o *obs.Obs) {
 // with evaluations: in-flight builds complete against their detached
 // entries and their callers observe them normally.
 func (h *Harness) ResetMemos() {
-	h.analyses.reset()
-	h.variants.reset()
-	h.results.reset()
+	h.analyses.Reset()
+	h.variants.Reset()
+	h.results.Reset()
 }
 
 // ForgetResult drops one evaluation cell from the results memo so the
@@ -134,8 +128,11 @@ func (h *Harness) ForgetResult(appName, variantName string, pnr, pipelined bool)
 	if h.FastMode {
 		pnr = false
 	}
-	h.results.forget(fmt.Sprintf("%s|%s|%v|%v", appName, variantName, pnr, pipelined))
+	h.results.Forget(fmt.Sprintf("%s|%s|%v|%v", appName, variantName, pnr, pipelined))
 }
+
+// MemoStats is one memo table's cache-effectiveness snapshot.
+type MemoStats = memo.Stats
 
 // MemoStats snapshots the cache-effectiveness counters of the three
 // memo tables, keyed by table name.
@@ -165,17 +162,9 @@ func (h *Harness) buildCtx() context.Context {
 func (h *Harness) Analysis(app *apps.App) *core.Analysis {
 	// buildCtx is uncancellable, so Analyze's only error — cancellation —
 	// cannot occur here.
-	a, _ := h.analyses.do(context.Background(), app.Name, func() (*core.Analysis, error) {
-		if h.useStore() {
-			if a, ok := h.loadAnalysis(app); ok {
-				return a, nil
-			}
-		}
-		a, err := h.FW.Analyze(h.buildCtx(), app)
-		if err == nil && h.useStore() {
-			h.saveAnalysis(app, a)
-		}
-		return a, err
+	a, _ := h.analyses.Do(context.Background(), app.Name, func() (*core.Analysis, error) {
+		return memo.ReadThrough(h.backing(), store.AnalysisCodec, h.keys.Analysis(app, h.FW),
+			func() (*core.Analysis, error) { return h.FW.Analyze(h.buildCtx(), app) })
 	})
 	return a
 }
@@ -184,17 +173,9 @@ func (h *Harness) Analysis(app *apps.App) *core.Analysis {
 // function receives the harness's build context (observability attached,
 // no caller deadline — see buildCtx).
 func (h *Harness) Variant(name string, build func(ctx context.Context) (*core.PEVariant, error)) (*core.PEVariant, error) {
-	v, err := h.variants.do(context.Background(), name, func() (*core.PEVariant, error) {
-		if h.useStore() {
-			if v, ok := h.loadVariant(name); ok {
-				return v, nil
-			}
-		}
-		v, err := build(h.buildCtx())
-		if err == nil && h.useStore() {
-			h.saveVariant(v)
-		}
-		return v, err
+	v, err := h.variants.Do(context.Background(), name, func() (*core.PEVariant, error) {
+		return memo.ReadThrough(h.backing(), store.VariantCodec(h.FW.Tech), h.keys.Variant(name, h.FW),
+			func() (*core.PEVariant, error) { return build(h.buildCtx()) })
 	})
 	if err != nil {
 		return nil, fmt.Errorf("eval: variant %s: %w", name, err)
@@ -296,37 +277,9 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 	}
 	key := fmt.Sprintf("%s|%s|%v|%v", app.Name, v.Name, pnr, pipelined)
 	cell := app.Name + "|" + v.Name
-	r, err := h.results.do(ctx, key, func() (*core.Result, error) {
-		if h.useStore() {
-			if r, ok := h.loadResult(app, v, pnr, pipelined); ok {
-				return r, nil
-			}
-		}
-		// Re-root the observability context for the memoized build:
-		// cancellation still flows from the caller, and any per-request
-		// bundle the caller threaded through ctx (the daemon's per-job
-		// tracer and delta registry) is kept, but the "evaluate" span
-		// re-roots at its tracer's root, so the span tree does not depend
-		// on which racing goroutine won the memo entry. Facilities the
-		// caller did not carry fall back to the harness bundle.
-		cctx := h.obs.Reattach(ctx)
-		if h.CellTimeout > 0 {
-			var cancel context.CancelFunc
-			cctx, cancel = context.WithTimeout(cctx, h.CellTimeout)
-			defer cancel()
-		}
-		opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined}
-		if h.Faults != nil {
-			if err := h.Faults.fire("evaluate", cell); err != nil {
-				return nil, err
-			}
-			opt.Hook = func(stage string) error { return h.Faults.fire(stage, cell) }
-		}
-		r, err := h.FW.Evaluate(cctx, app, v, opt)
-		if err == nil && h.useStore() {
-			h.saveResult(app, v, pnr, pipelined, r)
-		}
-		return r, err
+	r, err := h.results.Do(ctx, key, func() (*core.Result, error) {
+		return memo.ReadThrough(h.backing(), store.ResultCodec, h.keys.Result(app, v.Name, h.FW, pnr, pipelined),
+			func() (*core.Result, error) { return h.evaluate(ctx, app, v, cell, pnr, pipelined) })
 	})
 	switch {
 	case err != nil:
@@ -338,6 +291,31 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 		h.Report.record(Failure{Cell: key, Kind: "degraded", Err: r.DegradedReason})
 	}
 	return r, err
+}
+
+// evaluate runs one cell's backend under its deadline and fault plan.
+func (h *Harness) evaluate(ctx context.Context, app *apps.App, v *core.PEVariant, cell string, pnr, pipelined bool) (*core.Result, error) {
+	// Re-root the observability context for the memoized build:
+	// cancellation still flows from the caller, and any per-request
+	// bundle the caller threaded through ctx (the daemon's per-job
+	// tracer and delta registry) is kept, but the "evaluate" span
+	// re-roots at its tracer's root, so the span tree does not depend
+	// on which racing goroutine won the memo entry. Facilities the
+	// caller did not carry fall back to the harness bundle.
+	cctx := h.obs.Reattach(ctx)
+	if h.CellTimeout > 0 {
+		var cancel context.CancelFunc
+		cctx, cancel = context.WithTimeout(cctx, h.CellTimeout)
+		defer cancel()
+	}
+	opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined}
+	if h.Faults != nil {
+		if err := h.Faults.fire("evaluate", cell); err != nil {
+			return nil, err
+		}
+		opt.Hook = func(stage string) error { return h.Faults.fire(stage, cell) }
+	}
+	return h.FW.Evaluate(cctx, app, v, opt)
 }
 
 // logger returns the harness's structured logger (never nil).
@@ -509,14 +487,4 @@ func pct(ref, val float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.0f%%", (val-ref)/ref*100)
-}
-
-// sortedOpNames renders an op list.
-func sortedOpNames(ops []ir.Op) string {
-	names := make([]string, len(ops))
-	for i, op := range ops {
-		names[i] = op.Name()
-	}
-	sort.Strings(names)
-	return strings.Join(names, " ")
 }

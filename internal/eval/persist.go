@@ -1,8 +1,7 @@
 package eval
 
 import (
-	"repro/internal/apps"
-	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/store"
 )
 
@@ -28,114 +27,15 @@ func (h *Harness) SetStore(s *store.Store) { h.store = s }
 // Store returns the attached persistent store (nil when none).
 func (h *Harness) Store() *store.Store { return h.store }
 
-// useStore reports whether disk persistence is active for this run.
-func (h *Harness) useStore() bool { return h.store != nil && h.Faults == nil }
-
-// cacheCount bumps a cache.* metric when observability is attached. The
-// counters are worker-count-invariant: whether an entry hits depends
-// only on the store contents, never on scheduling.
-func (h *Harness) cacheCount(name string) {
-	if h.obs != nil && h.obs.Metrics != nil {
-		h.obs.Metrics.Counter(name).Add(1)
+// backing returns the store layer for this run's memo builds: nil (no
+// disk) without a store or while a fault-injection plan is installed.
+func (h *Harness) backing() *memo.Backing {
+	if h.store == nil || h.Faults != nil {
+		return nil
 	}
-}
-
-// appKey returns (caching per app name) the application fingerprint.
-func (h *Harness) appKey(app *apps.App) store.Key {
-	h.keyMu.Lock()
-	defer h.keyMu.Unlock()
-	if h.appKeys == nil {
-		h.appKeys = map[string]store.Key{}
+	b := &memo.Backing{Store: h.store, Logger: h.logger()}
+	if h.obs != nil {
+		b.Metrics = h.obs.Metrics
 	}
-	if k, ok := h.appKeys[app.Name]; ok {
-		return k
-	}
-	k := store.AppHash(app)
-	h.appKeys[app.Name] = k
-	return k
-}
-
-// registryKey returns (caching) the application-registry fingerprint.
-func (h *Harness) registryKey() store.Key {
-	h.registryOnce.Do(func() { h.registry = store.RegistryHash() })
-	return h.registry
-}
-
-// loadAnalysis consults the store for a mined analysis.
-func (h *Harness) loadAnalysis(app *apps.App) (*core.Analysis, bool) {
-	key := store.AnalysisKey(h.appKey(app), h.FW)
-	payload, ok := h.store.Get(store.KindAnalysis, key)
-	if !ok {
-		h.cacheCount("cache.analysis.miss")
-		return nil, false
-	}
-	a, err := store.DecodeAnalysis(payload)
-	if err != nil {
-		// Envelope-valid but undecodable payload: schema drift within one
-		// SchemaVersion. Treat as corruption — recompute and overwrite.
-		h.cacheCount("cache.analysis.corrupt")
-		h.logger().Warn("cached analysis undecodable, recomputing", "app", app.Name, "err", err.Error())
-		return nil, false
-	}
-	h.cacheCount("cache.analysis.hit")
-	return a, true
-}
-
-func (h *Harness) saveAnalysis(app *apps.App, a *core.Analysis) {
-	key := store.AnalysisKey(h.appKey(app), h.FW)
-	h.store.Put(store.KindAnalysis, key, store.EncodeAnalysis(a))
-	h.cacheCount("cache.analysis.put")
-}
-
-// loadVariant consults the store for a generated PE variant.
-func (h *Harness) loadVariant(name string) (*core.PEVariant, bool) {
-	key := store.VariantKey(name, h.registryKey(), h.FW)
-	payload, ok := h.store.Get(store.KindVariant, key)
-	if !ok {
-		h.cacheCount("cache.variant.miss")
-		return nil, false
-	}
-	v, err := store.DecodeVariant(payload, h.FW.Tech)
-	if err != nil {
-		h.cacheCount("cache.variant.corrupt")
-		h.logger().Warn("cached variant undecodable, recomputing", "variant", name, "err", err.Error())
-		return nil, false
-	}
-	h.cacheCount("cache.variant.hit")
-	return v, true
-}
-
-func (h *Harness) saveVariant(v *core.PEVariant) {
-	key := store.VariantKey(v.Name, h.registryKey(), h.FW)
-	h.store.Put(store.KindVariant, key, store.EncodeVariant(v))
-	h.cacheCount("cache.variant.put")
-}
-
-// loadResult consults the store for an evaluation cell.
-func (h *Harness) loadResult(app *apps.App, v *core.PEVariant, pnr, pipelined bool) (*core.Result, bool) {
-	key := h.resultKey(app, v, pnr, pipelined)
-	payload, ok := h.store.Get(store.KindResult, key)
-	if !ok {
-		h.cacheCount("cache.result.miss")
-		return nil, false
-	}
-	r, err := store.DecodeResult(payload)
-	if err != nil {
-		h.cacheCount("cache.result.corrupt")
-		h.logger().Warn("cached result undecodable, recomputing",
-			"app", app.Name, "variant", v.Name, "err", err.Error())
-		return nil, false
-	}
-	h.cacheCount("cache.result.hit")
-	return r, true
-}
-
-func (h *Harness) saveResult(app *apps.App, v *core.PEVariant, pnr, pipelined bool, r *core.Result) {
-	h.store.Put(store.KindResult, h.resultKey(app, v, pnr, pipelined), store.EncodeResult(r))
-	h.cacheCount("cache.result.put")
-}
-
-func (h *Harness) resultKey(app *apps.App, v *core.PEVariant, pnr, pipelined bool) store.Key {
-	vk := store.VariantKey(v.Name, h.registryKey(), h.FW)
-	return store.ResultKey(h.appKey(app), vk, h.FW, pnr, pipelined)
+	return b
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Binary codecs for the persistent result store (internal/store). The
@@ -49,7 +50,9 @@ func (g *Graph) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeBinaryGraph decodes a graph produced by AppendBinary and returns
-// the remaining bytes.
+// the remaining bytes. Hostile input is an error, never a huge
+// allocation: every node and every edge takes at least one encoded byte,
+// so a count larger than the remaining bytes is rejected before make.
 func DecodeBinaryGraph(data []byte) (*Graph, []byte, error) {
 	nv, data, err := decodeUvarint(data)
 	if err != nil {
@@ -59,6 +62,9 @@ func DecodeBinaryGraph(data []byte) (*Graph, []byte, error) {
 	var n uint64
 	if nv != 0 {
 		n = nv - 1
+		if n > uint64(len(data)) {
+			return nil, nil, fmt.Errorf("graph: node count %d exceeds payload", n)
+		}
 		g.labels = make([]string, n)
 		g.out = make([][]Edge, n)
 		g.in = make([][]Edge, n)
@@ -86,6 +92,9 @@ func DecodeBinaryGraph(data []byte) (*Graph, []byte, error) {
 				continue // row was nil in the original
 			}
 			m := mv - 1
+			if m > uint64(len(data)) {
+				return fmt.Errorf("graph: edge count %d exceeds payload", m)
+			}
 			es := make([]Edge, m)
 			for j := range es {
 				var f, t, p uint64
@@ -143,13 +152,15 @@ func DecodeBinaryEmbeddingList(data []byte) (*EmbeddingList, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: decode embedding count: %w", err)
 	}
+	// Each element is at least one byte; the division also keeps k*n
+	// from overflowing.
+	if k > math.MaxInt32 || n > math.MaxInt32 || (n != 0 && k > uint64(len(data))/n) {
+		return nil, nil, fmt.Errorf("graph: truncated embedding list")
+	}
 	l := &EmbeddingList{k: int(k), n: int(n)}
 	total := k * n
 	if total == 0 {
 		return l, data, nil // keep flat nil, matching a fresh list exactly
-	}
-	if total > uint64(len(data)) { // each element is at least one byte
-		return nil, nil, fmt.Errorf("graph: truncated embedding list")
 	}
 	l.flat = make([]int32, total)
 	for i := range l.flat {

@@ -137,3 +137,28 @@ func TestCanonicalCodeSeedPairsDistinct(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeBinaryGraph feeds arbitrary bytes to the graph decoder: it
+// must return an error or a graph, never panic or allocate from an
+// unchecked count. A graph that decodes must re-encode to bytes that
+// decode to the same graph. Seeds are real encodings of small graphs.
+func FuzzDecodeBinaryGraph(f *testing.F) {
+	for _, seed := range [][]byte{{2, 0, 1, 0x01, 0x00}, {3, 1, 1, 1, 0x00, 0x01, 0x11, 0x02}, {6, 5, 4, 3, 2, 1, 0}} {
+		f.Add(fuzzGraph(seed).AppendBinary(nil))
+	}
+	f.Add([]byte{0xcb, 0xcb, 0xcb, 0xcb, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, _, err := DecodeBinaryGraph(data)
+		if err != nil {
+			return
+		}
+		enc := g.AppendBinary(nil)
+		again, rest, err := DecodeBinaryGraph(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoded graph does not decode: %v (%d trailing bytes)", err, len(rest))
+		}
+		if string(again.AppendBinary(nil)) != string(enc) {
+			t.Fatal("graph encoding is not stable across a decode")
+		}
+	})
+}

@@ -66,15 +66,6 @@ func NewMatcher(target *Graph) *Matcher {
 // Target returns the indexed graph.
 func (m *Matcher) Target() *Graph { return m.target }
 
-// LabelID returns the interned id of a label, or -1 if the target does
-// not contain it.
-func (m *Matcher) LabelID(label string) int32 {
-	if id, ok := m.labels[label]; ok {
-		return id
-	}
-	return -1
-}
-
 // TargetLabelID returns the interned label id of target node v.
 func (m *Matcher) TargetLabelID(v NodeID) int32 { return m.labelID[v] }
 

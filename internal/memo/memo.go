@@ -1,4 +1,10 @@
-package eval
+// Package memo is the one artifact cache of the pipeline: a
+// singleflight memo table with a panic boundary (Table), and a
+// persistent-store read-through (ReadThrough) to put under it. The
+// evaluation harness (internal/eval) and the sweep engine
+// (internal/sweep) build, cache, and reload every analysis, PE variant,
+// and evaluation result through these two pieces.
+package memo
 
 import (
 	"context"
@@ -9,8 +15,8 @@ import (
 	"repro/internal/obs"
 )
 
-// memoTable is a concurrency-safe, singleflight-style memo cache. The
-// first caller of a key installs an in-flight entry and runs the build
+// Table is a concurrency-safe, singleflight-style memo cache. The first
+// caller of a key installs an in-flight entry and runs the build
 // function *outside* the table lock; concurrent callers of the same key
 // block on the entry's done channel and observe the exact same value,
 // so every build function executes at most once per key no matter how
@@ -21,25 +27,26 @@ import (
 // (seeded placement, pure analyses), so retrying a failed build cannot
 // succeed and would only make results depend on call order.
 //
-// do is also the harness's recover boundary: a panic inside a build is
-// converted to a typed error (classified by fault.AsPanic) and cached
+// Do is also a recover boundary: a build runs under fault.Guard, so a
+// panic becomes a typed error (named "<scope>: build <key>") cached
 // like any other failure, and the done channel closes no matter how the
-// build exits — one poisoned cell can neither take down the worker pool
-// nor deadlock the other goroutines waiting on its key.
+// build exits — one poisoned build can neither take down the worker
+// pool nor deadlock the other goroutines waiting on its key.
 //
 // Every lookup is counted (Stats); an instrumented table additionally
 // records the worker-count-invariant counters memo.<name>.lookups and
-// memo.<name>.miss in the run's metrics registry. The hit/coalesced
-// split is deliberately kept out of the registry: whether a duplicate
-// caller finds the entry finished (hit) or still in flight (coalesced)
-// depends on scheduling, and the registry dump must stay byte-identical
-// across worker counts.
-type memoTable[V any] struct {
+// memo.<name>.miss in a metrics registry. The hit/coalesced split is
+// deliberately kept out of the registry: whether a duplicate caller
+// finds the entry finished (hit) or still in flight (coalesced) depends
+// on scheduling, and the registry dump must stay byte-identical across
+// worker counts.
+type Table[V any] struct {
 	mu      sync.Mutex
-	entries map[string]*memoEntry[V]
+	entries map[string]*entry[V]
 
-	name string
-	reg  *obs.Registry
+	scope string
+	name  string
+	reg   *obs.Registry
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -47,39 +54,41 @@ type memoTable[V any] struct {
 	panics    atomic.Int64
 }
 
-type memoEntry[V any] struct {
+type entry[V any] struct {
 	done chan struct{} // closed once val/err are final
 	val  V
 	err  error
 }
 
-func newMemoTable[V any]() *memoTable[V] {
-	return &memoTable[V]{entries: map[string]*memoEntry[V]{}}
+// New returns an empty table whose panic boundary names builds
+// "<scope>: build <key>".
+func New[V any](scope string) *Table[V] {
+	return &Table[V]{scope: scope, entries: map[string]*entry[V]{}}
 }
 
-// instrument names the table and attaches the metrics registry its
+// Instrument names the table and attaches the metrics registry its
 // invariant counters go to (nil detaches).
-func (t *memoTable[V]) instrument(name string, reg *obs.Registry) {
+func (t *Table[V]) Instrument(name string, reg *obs.Registry) {
 	t.name, t.reg = name, reg
 }
 
-// MemoStats is a point-in-time snapshot of one memo table's cache
+// Stats is a point-in-time snapshot of one memo table's cache
 // effectiveness: Hits found a finished entry, Coalesced joined an
 // in-flight build (singleflight sharing), Misses ran the build, and
 // Panics counts builds that hit the recover boundary.
-type MemoStats struct {
+type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
 	Panics    int64 `json:"panics"`
 }
 
-// Lookups is the total number of do calls the stats cover.
-func (s MemoStats) Lookups() int64 { return s.Hits + s.Misses + s.Coalesced }
+// Lookups is the total number of Do calls the stats cover.
+func (s Stats) Lookups() int64 { return s.Hits + s.Misses + s.Coalesced }
 
 // Stats snapshots the table's counters.
-func (t *memoTable[V]) Stats() MemoStats {
-	return MemoStats{
+func (t *Table[V]) Stats() Stats {
+	return Stats{
 		Hits:      t.hits.Load(),
 		Misses:    t.misses.Load(),
 		Coalesced: t.coalesced.Load(),
@@ -87,33 +96,33 @@ func (t *memoTable[V]) Stats() MemoStats {
 	}
 }
 
-// forget drops one key from the table. A build currently in flight for
+// Forget drops one key from the table. A build currently in flight for
 // the key is unaffected — its waiters still observe its outcome through
-// the entry they already hold — but the next do of the key runs a fresh
+// the entry they already hold — but the next Do of the key runs a fresh
 // build. This is the retry hook for callers (the apexd executor) whose
 // policy says a failure IS worth retrying, which the cache-the-error
 // default deliberately does not.
-func (t *memoTable[V]) forget(key string) {
+func (t *Table[V]) Forget(key string) {
 	t.mu.Lock()
 	delete(t.entries, key)
 	t.mu.Unlock()
 }
 
-// reset drops every entry (counters are kept — they describe the
+// Reset drops every entry (counters are kept — they describe the
 // process lifetime, not the current generation). In-flight builds
-// complete against their detached entries exactly as in forget.
-func (t *memoTable[V]) reset() {
+// complete against their detached entries exactly as in Forget.
+func (t *Table[V]) Reset() {
 	t.mu.Lock()
-	t.entries = map[string]*memoEntry[V]{}
+	t.entries = map[string]*entry[V]{}
 	t.mu.Unlock()
 }
 
-// do returns the memoized value for key, running build at most once per
+// Do returns the memoized value for key, running build at most once per
 // key across all goroutines. A caller waiting on another goroutine's
 // in-flight build stops waiting when ctx is canceled (the build itself
 // keeps running and its result stays cached for later callers); the
 // builder's own ctx handling is the build function's business.
-func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, error)) (V, error) {
+func (t *Table[V]) Do(ctx context.Context, key string, build func() (V, error)) (V, error) {
 	if t.reg != nil {
 		t.reg.Counter("memo." + t.name + ".lookups").Add(1)
 	}
@@ -134,7 +143,7 @@ func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, erro
 			return zero, fault.Canceled(ctx)
 		}
 	}
-	e := &memoEntry[V]{done: make(chan struct{})}
+	e := &entry[V]{done: make(chan struct{})}
 	t.entries[key] = e
 	t.mu.Unlock()
 	t.misses.Add(1)
@@ -142,15 +151,15 @@ func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, erro
 		t.reg.Counter("memo." + t.name + ".miss").Add(1)
 	}
 
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				t.panics.Add(1)
-				e.err = fault.AsPanic("eval: build "+key, rec)
-			}
-			close(e.done)
-		}()
-		e.val, e.err = build()
-	}()
+	defer close(e.done)
+	returned := false
+	e.err = fault.Guard(t.scope+": build "+key, func() (err error) {
+		e.val, err = build()
+		returned = true
+		return err
+	})
+	if !returned {
+		t.panics.Add(1)
+	}
 	return e.val, e.err
 }

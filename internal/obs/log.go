@@ -29,11 +29,6 @@ func Logger(ctx context.Context) *slog.Logger {
 	return nopLogger
 }
 
-// WithLogger returns ctx carrying the logger.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
-}
-
 // NewLogger builds the CLI diagnostic logger: verbosity 0 logs warnings
 // and errors, 1 (-v) adds info, 2 (-vv) adds debug; format is "text" or
 // "json" (-log-format).

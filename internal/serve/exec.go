@@ -129,6 +129,9 @@ type compileResult struct {
 
 // execute dispatches one attempt of a job and returns its payload.
 func (s *Server) execute(ctx context.Context, j *Job) (json.RawMessage, error) {
+	if s.testExecHook != nil {
+		s.testExecHook(j)
+	}
 	switch j.Kind {
 	case KindAnalyze:
 		return s.execAnalyze(ctx, j.Params)
@@ -253,17 +256,18 @@ func (s *Server) execEvaluate(ctx context.Context, p Params) (json.RawMessage, e
 }
 
 // execSweep runs a whole grid as one job. The sweep shares the daemon's
-// cache directory (its own store handle — the store is multi-process
-// safe) but runs serially inside the job's worker slot, so one giant
-// sweep cannot monopolize the pool beyond its fair share. The
-// observability bundle comes from the job's context (the per-job
+// cache directory and size budget (its own store handle — the store is
+// multi-process safe) but runs serially inside the job's worker slot,
+// so one giant sweep cannot monopolize the pool beyond its fair share.
+// The observability bundle comes from the job's context (the per-job
 // tracer/registry runJob installed), and each completed cell is
 // announced on the event stream when anyone is listening.
 func (s *Server) execSweep(ctx context.Context, j *Job) (json.RawMessage, error) {
 	opts := sweep.Options{
-		Workers:  1,
-		CacheDir: s.cfg.CacheDir,
-		Obs:      obs.FromContext(ctx),
+		Workers:       1,
+		CacheDir:      s.cfg.CacheDir,
+		CacheMaxBytes: s.cfg.CacheMaxBytes,
+		Obs:           obs.FromContext(ctx),
 	}
 	if p := j.Params; p.triageEnabled() {
 		opts.Triage = sweep.TriageOptions{

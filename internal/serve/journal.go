@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/store"
@@ -120,25 +119,8 @@ func saveJournal(path string, jobs map[string]*Job) error {
 	if err != nil {
 		return fmt.Errorf("serve: encode journal: %w", err)
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("serve: journal dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return fmt.Errorf("serve: journal temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("serve: write journal: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: commit journal: %w", err)
+	if err := store.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("serve: write journal: %w", err)
 	}
 	return nil
 }

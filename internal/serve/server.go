@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -195,6 +196,11 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 	started    atomic.Bool
+
+	// testExecHook, when a test sets it before Start, runs at the start
+	// of every job attempt: the seam the panic-boundary test injects
+	// through.
+	testExecHook func(*Job)
 }
 
 // New builds a daemon: harness, store, rate limiter, queue, and — when
@@ -526,7 +532,14 @@ func (s *Server) runJob(j *Job) {
 
 	jctx, jobSpan := obs.StartSpan(ctx, "job",
 		obs.String("id", j.ID), obs.String("kind", string(j.Kind)), obs.String("client", j.Client))
-	result, err := s.execute(jctx, j)
+	// The attempt's panic boundary: a panic anywhere in the job becomes
+	// an ErrInvariant error, which disposeFailure ends as failed/fatal,
+	// and the worker goes on serving.
+	var result json.RawMessage
+	err := fault.Guard("serve: job "+j.ID, func() (err error) {
+		result, err = s.execute(jctx, j)
+		return err
+	})
 	jobSpan.End()
 	s.captureTrace(j, jt, jreg)
 

@@ -130,21 +130,6 @@ func (d *dec) str(what string) string {
 	return s
 }
 
-// lenOf reads a sequence length and guards it against truncated
-// payloads: each element needs at least one byte, so a length larger
-// than the remaining bytes is corruption, not a huge allocation.
-func (d *dec) lenOf(what string) int {
-	n := d.u64(what)
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.data)) {
-		d.fail(what)
-		return 0
-	}
-	return int(n)
-}
-
 func (d *dec) ints(what string) []int {
 	n, isNil := d.lenN(what)
 	if d.err != nil || isNil {
@@ -159,7 +144,8 @@ func (d *dec) ints(what string) []int {
 
 // lenN is the inverse of enc.lenN: it returns the element count and
 // whether the collection was nil, guarding the count against the
-// remaining payload like lenOf.
+// remaining payload: every element needs at least one byte, so a count
+// larger than the remaining bytes is corruption, not a huge allocation.
 func (d *dec) lenN(what string) (int, bool) {
 	v := d.u64(what)
 	if d.err != nil || v == 0 {

@@ -36,6 +36,28 @@ import (
 //     that need a mapping (the FIFO-cutoff ablation) recompute it from
 //     the variant's rules in microseconds.
 
+// Codec pairs a Kind with its payload encoding: what a read-through
+// cache (internal/memo) needs to move one artifact type in and out of
+// the store.
+type Codec[V any] struct {
+	Kind   Kind
+	Encode func(V) []byte
+	Decode func([]byte) (V, error)
+}
+
+// AnalysisCodec stores mined analyses; ResultCodec stores evaluation
+// cells.
+var (
+	AnalysisCodec = Codec[*core.Analysis]{KindAnalysis, EncodeAnalysis, DecodeAnalysis}
+	ResultCodec   = Codec[*core.Result]{KindResult, EncodeResult, DecodeResult}
+)
+
+// VariantCodec stores PE variants, rebuilt on load against tech model m.
+func VariantCodec(m *tech.Model) Codec[*core.PEVariant] {
+	return Codec[*core.PEVariant]{KindVariant, EncodeVariant,
+		func(p []byte) (*core.PEVariant, error) { return DecodeVariant(p, m) }}
+}
+
 // --- ir.Graph ---------------------------------------------------------
 
 func encodeIRGraph(e *enc, g *ir.Graph) {
@@ -227,9 +249,13 @@ func decodeDatapath(d *dec) *merge.Datapath {
 	if !wiresNil {
 		dp.Wires = make([]merge.Wire, nw)
 		for i := range dp.Wires {
-			dp.Wires[i] = merge.Wire{
-				From: d.int("wire.from"), To: d.int("wire.to"), Port: d.int("wire.port"),
+			w := merge.Wire{From: d.int("wire.from"), To: d.int("wire.to"), Port: d.int("wire.port")}
+			// The spec and pipelining rebuilt from the datapath index
+			// units by wire endpoint: reject dangling wires here.
+			if w.From < 0 || w.From >= nu || w.To < 0 || w.To >= nu || w.Port < 0 {
+				d.fail("wire")
 			}
+			dp.Wires[i] = w
 		}
 	}
 	ns, sourcesNil := d.lenN("dp.sources")

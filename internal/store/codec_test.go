@@ -16,7 +16,7 @@ import (
 // push real pipeline artifacts through encode/decode and require deep
 // equality.
 
-func pipelineFixtures(t *testing.T) (*core.Framework, *apps.App, *core.Analysis, *core.PEVariant, *core.Result) {
+func pipelineFixtures(t testing.TB) (*core.Framework, *apps.App, *core.Analysis, *core.PEVariant, *core.Result) {
 	t.Helper()
 	fw := core.New()
 	fw.MineWorkers = 1
@@ -131,4 +131,37 @@ func TestKeySensitivity(t *testing.T) {
 	if ResultKey(ah, vk, fw5, true, true) == rk {
 		t.Fatal("result key ignores the fabric size")
 	}
+}
+
+// oomPayload declares an enormous node count in six bytes. The graph
+// decoder used to make() the node slices before reading any of them,
+// which killed the process with an unrecoverable out-of-memory error.
+var oomPayload = []byte{0xcb, 0xcb, 0xcb, 0xcb, 0xff, 0x7f}
+
+func TestDecodeHugeCountIsError(t *testing.T) {
+	if _, err := DecodeAnalysis(oomPayload); err == nil {
+		t.Fatal("payload declaring a huge node count decoded without error")
+	}
+}
+
+// FuzzDecode feeds arbitrary bytes to the store's Decode* functions
+// (the first byte picks which): hostile or corrupt payloads must come
+// back as errors, never as a panic or an unbounded allocation. The seed
+// corpus is real pipeline encodings plus the OOM regression payload.
+func FuzzDecode(f *testing.F) {
+	fw, _, a, v, r := pipelineFixtures(f)
+	for kind, payload := range [][]byte{EncodeAnalysis(a), EncodeVariant(v), EncodeResult(r)} {
+		f.Add(byte(kind), payload)
+	}
+	f.Add(byte(0), oomPayload)
+	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
+		switch kind % 3 {
+		case 0:
+			DecodeAnalysis(data)
+		case 1:
+			DecodeVariant(data, fw.Tech)
+		case 2:
+			DecodeResult(data)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -48,6 +49,54 @@ func RegistryHash() Key {
 		h.Str(string(AppHash(a)))
 	}
 	return h.Key()
+}
+
+// Keys derives artifact keys for one caller (the eval harness, a sweep
+// run), memoizing the app and registry fingerprints so an app graph is
+// hashed once per Keys, not once per lookup. The zero value is ready to
+// use and safe for concurrent use.
+type Keys struct {
+	mu       sync.Mutex
+	apps     map[string]Key
+	registry Key
+}
+
+// App returns the (memoized) AppHash of a.
+func (k *Keys) App(a *apps.App) Key {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if h, ok := k.apps[a.Name]; ok {
+		return h
+	}
+	if k.apps == nil {
+		k.apps = map[string]Key{}
+	}
+	h := AppHash(a)
+	k.apps[a.Name] = h
+	return h
+}
+
+// Registry returns the (memoized) RegistryHash.
+func (k *Keys) Registry() Key {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.registry == "" {
+		k.registry = RegistryHash()
+	}
+	return k.registry
+}
+
+// Analysis returns the AnalysisKey of a under fw.
+func (k *Keys) Analysis(a *apps.App, fw *core.Framework) Key { return AnalysisKey(k.App(a), fw) }
+
+// Variant returns the VariantKey of the named variant under fw.
+func (k *Keys) Variant(name string, fw *core.Framework) Key {
+	return VariantKey(name, k.Registry(), fw)
+}
+
+// Result returns the ResultKey of app a on the named variant under fw.
+func (k *Keys) Result(a *apps.App, variant string, fw *core.Framework, pnr, pipelined bool) Key {
+	return ResultKey(k.App(a), k.Variant(variant, fw), fw, pnr, pipelined)
 }
 
 // AnalysisKey keys a mined analysis: the app fingerprint plus the mining

@@ -171,32 +171,36 @@ func (s *Store) Put(kind Kind, key Key, payload []byte) {
 }
 
 func (s *Store) put(kind Kind, key Key, payload []byte) error {
-	p := s.path(kind, key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	return WriteFileAtomic(s.path(kind, key), sealEnvelope(key, payload))
+}
+
+// WriteFileAtomic replaces path with data so that readers see either the
+// old file or the complete new one, never a partial write: the bytes go
+// to a temp file in the target directory (created if needed), which is
+// then renamed over path — rename(2) is atomic on POSIX filesystems, so
+// concurrent writers and killed processes cannot leave a torn file. The
+// temp file is removed on any error. Callers that read-merge-rewrite
+// (the sweep checkpoint, the apexd journal) hold a FileLock around it.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	buf := sealEnvelope(key, payload)
-	// Write-temp-then-rename in the target directory: rename(2) is atomic
-	// on POSIX filesystems, so concurrent writers and killed processes
-	// can never leave a partially written entry visible under p.
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".put-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // sealEnvelope wraps payload in the versioned, checksummed envelope.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/store"
@@ -84,32 +83,8 @@ func saveCheckpoint(path string, fp store.Key, done map[int]CellResult) error {
 	if err != nil {
 		return fmt.Errorf("sweep: encode checkpoint: %w", err)
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: checkpoint dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("sweep: checkpoint temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: write checkpoint: %w", firstErr(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: commit checkpoint: %w", err)
-	}
-	return nil
-}
-
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := store.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("sweep: write checkpoint: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cgra"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -149,30 +151,27 @@ func (s *shard) size() int {
 	return len(s.cells)
 }
 
-// entry is a singleflight slot for a shared front-end build.
-type entry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-// engine carries the shared state of one Run.
+// engine carries the shared state of one Run. The front-end builds
+// (analyses, variants) and the triage post-mapping evaluations are
+// singleflighted across cells in memo tables; back is the store layer
+// under them (nil without a CacheDir).
 type engine struct {
 	grid Grid
 	opt  Options
-	st   *store.Store
+	back *memo.Backing
+	keys store.Keys
 
-	mu       sync.Mutex
-	analyses map[string]*entry[*core.Analysis]
-	variants map[string]*entry[*core.PEVariant]
-	postmaps map[string]*entry[*core.Result]
-	appKeys  map[string]store.Key
+	analyses *memo.Table[*core.Analysis]
+	variants *memo.Table[*core.PEVariant]
+	postmaps *memo.Table[*core.Result]
 
 	steals atomic.Int64
-
-	registryOnce sync.Once
-	registry     store.Key
 }
+
+// testHook, when set by a test, runs at the named stage of a cell
+// ("variant" inside the memoized front-end build, "evaluate" before the
+// backend) — the seam the panic-boundary tests inject through.
+var testHook func(stage string, c Cell)
 
 // collector is the single writer of the report and the checkpoint. While
 // a phase's workers run, only the phase's collector goroutine touches
@@ -285,7 +284,7 @@ func (e *engine) runPhase(ctx context.Context, pending []Cell, col *collector) {
 					e.steals.Add(1)
 					e.count("sweep.steals", 1)
 				}
-				completed <- e.evalCell(ctx, c)
+				completed <- guarded(c, func() CellResult { return e.evalCell(ctx, c) })
 			}
 		}(i)
 	}
@@ -314,10 +313,9 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 	e := &engine{
 		grid:     g,
 		opt:      opt,
-		analyses: map[string]*entry[*core.Analysis]{},
-		variants: map[string]*entry[*core.PEVariant]{},
-		postmaps: map[string]*entry[*core.Result]{},
-		appKeys:  map[string]store.Key{},
+		analyses: memo.New[*core.Analysis]("sweep"),
+		variants: memo.New[*core.PEVariant]("sweep"),
+		postmaps: memo.New[*core.Result]("sweep"),
 	}
 	if opt.CacheDir != "" {
 		st, err := store.Open(opt.CacheDir)
@@ -327,7 +325,10 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 		if opt.CacheMaxBytes > 0 {
 			st.SetMaxBytes(opt.CacheMaxBytes)
 		}
-		e.st = st
+		e.back = &memo.Backing{Store: st, Logger: e.logger()}
+		if opt.Obs != nil {
+			e.back.Metrics = opt.Obs.Metrics
+		}
 	}
 
 	// Resume: preload completed cells from the checkpoint. A fingerprint
@@ -368,8 +369,8 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 	col.flush()
 	rep.Steals = int(e.steals.Load())
 
-	if e.st != nil {
-		s := e.st.Stats()
+	if e.back != nil {
+		s := e.back.Store.Stats()
 		rep.Store = &s
 	}
 	if err := fault.Canceled(ctx); err != nil {
@@ -390,9 +391,7 @@ func (e *engine) count(name string, n int64) {
 	}
 }
 
-func (e *engine) logger() interface {
-	Warn(msg string, args ...any)
-} {
+func (e *engine) logger() *slog.Logger {
 	if e.opt.Obs != nil && e.opt.Obs.Logger != nil {
 		return e.opt.Obs.Logger
 	}
@@ -414,84 +413,40 @@ func (e *engine) frameworkFor(c Cell) *core.Framework {
 	return fw
 }
 
-// appKey memoizes the application fingerprint.
-func (e *engine) appKey(app *apps.App) store.Key {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if k, ok := e.appKeys[app.Name]; ok {
-		return k
-	}
-	k := store.AppHash(app)
-	e.appKeys[app.Name] = k
-	return k
-}
-
-func (e *engine) registryKey() store.Key {
-	e.registryOnce.Do(func() { e.registry = store.RegistryHash() })
-	return e.registry
-}
-
 // analysis returns the mined analysis for (app, support), singleflighted
 // across cells and backed by the persistent store.
 func (e *engine) analysis(ctx context.Context, app *apps.App, fw *core.Framework) (*core.Analysis, error) {
-	key := fmt.Sprintf("%s|s%d", app.Name, fw.MinSupport)
-	e.mu.Lock()
-	ent, ok := e.analyses[key]
-	if !ok {
-		ent = &entry[*core.Analysis]{}
-		e.analyses[key] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		if e.st != nil {
-			sk := store.AnalysisKey(e.appKey(app), fw)
-			if payload, ok := e.st.Get(store.KindAnalysis, sk); ok {
-				if a, err := store.DecodeAnalysis(payload); err == nil {
-					ent.val = a
-					return
-				}
-			}
-		}
-		ent.val, ent.err = fw.Analyze(ctx, app)
-		if ent.err == nil && e.st != nil {
-			e.st.Put(store.KindAnalysis, store.AnalysisKey(e.appKey(app), fw), store.EncodeAnalysis(ent.val))
-		}
+	return e.analyses.Do(ctx, fmt.Sprintf("%s|s%d", app.Name, fw.MinSupport), func() (*core.Analysis, error) {
+		return memo.ReadThrough(e.back, store.AnalysisCodec, e.keys.Analysis(app, fw),
+			func() (*core.Analysis, error) { return fw.Analyze(ctx, app) })
 	})
-	return ent.val, ent.err
 }
 
 // variant returns the cell's specialized PE, singleflighted across cells
 // sharing (app, support, k) and backed by the persistent store.
 func (e *engine) variant(ctx context.Context, c Cell, app *apps.App, fw *core.Framework) (*core.PEVariant, error) {
 	name := c.VariantName()
-	e.mu.Lock()
-	ent, ok := e.variants[name]
-	if !ok {
-		ent = &entry[*core.PEVariant]{}
-		e.variants[name] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		if e.st != nil {
-			sk := store.VariantKey(name, e.registryKey(), fw)
-			if payload, ok := e.st.Get(store.KindVariant, sk); ok {
-				if v, err := store.DecodeVariant(payload, fw.Tech); err == nil {
-					ent.val = v
-					return
-				}
+	return e.variants.Do(ctx, name, func() (*core.PEVariant, error) {
+		return memo.ReadThrough(e.back, store.VariantCodec(fw.Tech), e.keys.Variant(name, fw), func() (*core.PEVariant, error) {
+			if testHook != nil {
+				testHook("variant", c)
 			}
-		}
-		a, err := e.analysis(ctx, app, fw)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		ent.val, ent.err = fw.GeneratePE(ctx, name, app.UsedOps(), core.SelectPatterns(a, c.K))
-		if ent.err == nil && e.st != nil {
-			e.st.Put(store.KindVariant, store.VariantKey(name, e.registryKey(), fw), store.EncodeVariant(ent.val))
-		}
+			a, err := e.analysis(ctx, app, fw)
+			if err != nil {
+				return nil, err
+			}
+			return fw.GeneratePE(ctx, name, app.UsedOps(), core.SelectPatterns(a, c.K))
+		})
 	})
-	return ent.val, ent.err
+}
+
+// guarded runs one cell behind the sweep's panic boundary: a panic
+// anywhere in the cell becomes that cell's typed error.
+func guarded(c Cell, run func() CellResult) (res CellResult) {
+	if err := fault.Guard("sweep: cell "+c.String(), func() error { res = run(); return nil }); err != nil {
+		res = CellResult{Cell: c, Variant: c.VariantName(), Err: err.Error()}
+	}
+	return res
 }
 
 // evalCell evaluates one grid point end to end.
@@ -508,31 +463,21 @@ func (e *engine) evalCell(ctx context.Context, c Cell) CellResult {
 		res.Err = err.Error()
 		return res
 	}
-	var r *core.Result
-	if e.st != nil {
-		rk := store.ResultKey(e.appKey(app), store.VariantKey(v.Name, e.registryKey(), fw), fw, e.grid.PnR, e.grid.Pipelined)
-		if payload, ok := e.st.Get(store.KindResult, rk); ok {
-			if cached, err := store.DecodeResult(payload); err == nil {
-				r = cached
-			}
+	r, err := memo.ReadThrough(e.back, store.ResultCodec, e.keys.Result(app, v.Name, fw, e.grid.PnR, e.grid.Pipelined), func() (*core.Result, error) {
+		if testHook != nil {
+			testHook("evaluate", c)
 		}
-	}
-	if r == nil {
 		ectx := ctx
 		if e.opt.CellTimeout > 0 {
 			var cancel context.CancelFunc
 			ectx, cancel = context.WithTimeout(ctx, e.opt.CellTimeout)
 			defer cancel()
 		}
-		r, err = fw.Evaluate(ectx, app, v, core.EvalOptions{PnR: e.grid.PnR, Pipelined: e.grid.Pipelined})
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		if e.st != nil {
-			rk := store.ResultKey(e.appKey(app), store.VariantKey(v.Name, e.registryKey(), fw), fw, e.grid.PnR, e.grid.Pipelined)
-			e.st.Put(store.KindResult, rk, store.EncodeResult(r))
-		}
+		return fw.Evaluate(ectx, app, v, core.EvalOptions{PnR: e.grid.PnR, Pipelined: e.grid.Pipelined})
+	})
+	if err != nil {
+		res.Err = err.Error()
+		return res
 	}
 	res.NumPEs = r.NumPEs
 	res.TotalArea = r.TotalArea

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -305,7 +306,7 @@ func (e *engine) runTriage(ctx context.Context, rep *Report, cells []Cell, pendi
 		if fault.Canceled(ctx) != nil {
 			return
 		}
-		col.record(e.predictCell(ctx, c, model))
+		col.record(guarded(c, func() CellResult { return e.predictCell(ctx, c, model) }))
 	}
 }
 
@@ -365,18 +366,9 @@ func (e *engine) knobsFor(c Cell, fw *core.Framework) costmodel.Knobs {
 // The store is deliberately not consulted — cached results carry no
 // Mapped artifact, and feature extraction needs the graph.
 func (e *engine) postmap(ctx context.Context, c Cell, app *apps.App, v *core.PEVariant, fw *core.Framework) (*core.Result, error) {
-	name := c.VariantName()
-	e.mu.Lock()
-	ent, ok := e.postmaps[name]
-	if !ok {
-		ent = &entry[*core.Result]{}
-		e.postmaps[name] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		ent.val, ent.err = fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: false, Pipelined: e.grid.Pipelined})
+	return e.postmaps.Do(ctx, c.VariantName(), func() (*core.Result, error) {
+		return fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: false, Pipelined: e.grid.Pipelined})
 	})
-	return ent.val, ent.err
 }
 
 // cellFeatures computes one cell's feature vector (and returns the
@@ -417,6 +409,15 @@ func sampleFor(features []float64, r *CellResult, post *core.Result) costmodel.S
 	return s
 }
 
+// sampleCodec and modelCodec store the cost model's training samples
+// and trained models.
+var (
+	sampleCodec = store.Codec[*costmodel.Sample]{
+		Kind: store.KindSample, Encode: (*costmodel.Sample).Encode, Decode: costmodel.DecodeSample}
+	modelCodec = store.Codec[*costmodel.Model]{
+		Kind: store.KindModel, Encode: (*costmodel.Model).Encode, Decode: costmodel.DecodeModel}
+)
+
 // triageModel builds training samples from the exploration band's
 // oracle results, persists them, and loads or trains the model. Returns
 // nil (with info.Fallback set) when the model cannot be trusted.
@@ -442,14 +443,10 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 		}
 		s := sampleFor(features, r, post)
 		inRun = append(inRun, s)
-		if e.st != nil {
-			app, err := apps.ByName(r.App)
-			if err != nil {
-				continue
-			}
+		if app, err := apps.ByName(r.App); err == nil && e.back != nil {
 			fw := e.frameworkFor(r.Cell)
-			rk := store.ResultKey(e.appKey(app), store.VariantKey(r.Variant, e.registryKey(), fw), fw, true, e.grid.Pipelined)
-			e.st.Put(store.KindSample, store.SampleKey(rk, costmodel.FeatureSchemaVersion), s.Encode())
+			rk := e.keys.Result(app, r.Variant, fw, true, e.grid.Pipelined)
+			memo.Write(e.back, sampleCodec, store.SampleKey(rk, costmodel.FeatureSchemaVersion), &s)
 		}
 	}
 
@@ -458,26 +455,17 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 	// its sample corpus has since grown.
 	fp := store.Key(rep.Fingerprint)
 	mk := store.ModelKey(fp, costmodel.FeatureSchemaVersion, t.Train.Hyper())
-	var model *costmodel.Model
-	if e.st != nil {
-		if payload, ok := e.st.Get(store.KindModel, mk); ok {
-			if m, err := costmodel.DecodeModel(payload); err == nil {
-				model = m
-				info.ModelCached = true
-				info.TrainSamples = m.SampleCount
-			}
-		}
-	}
-
-	if model == nil {
+	trained := false
+	model, err := memo.ReadThrough(e.back, modelCodec, mk, func() (*costmodel.Model, error) {
+		trained = true
 		// Corpus: with a store, every persisted sample (sorted by content
 		// key — worker- and run-order-invariant); without one, this run's
 		// own explore samples.
 		corpus := inRun
-		if e.st != nil {
+		if e.back != nil {
 			corpus = nil
-			e.st.Scan(store.KindSample, func(_ store.Key, payload []byte) error {
-				if s, err := costmodel.DecodeSample(payload); err == nil {
+			e.back.Store.Scan(store.KindSample, func(_ store.Key, payload []byte) error {
+				if s, err := sampleCodec.Decode(payload); err == nil {
 					corpus = append(corpus, *s)
 				}
 				return nil
@@ -485,20 +473,22 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 		}
 		info.TrainSamples = len(corpus)
 		if len(corpus) < t.minTrain() {
-			info.Fallback = fmt.Sprintf("%d training samples, need %d — running full oracle", len(corpus), t.minTrain())
-			e.logger().Warn("triage fallback", "reason", info.Fallback)
-			return nil
+			return nil, fmt.Errorf("%d training samples, need %d — running full oracle", len(corpus), t.minTrain())
 		}
 		m, err := costmodel.Train(mctx, corpus, t.Train)
 		if err != nil {
-			info.Fallback = fmt.Sprintf("training failed (%v) — running full oracle", err)
-			e.logger().Warn("triage fallback", "reason", info.Fallback)
-			return nil
+			return nil, fmt.Errorf("training failed (%v) — running full oracle", err)
 		}
-		model = m
-		if e.st != nil {
-			e.st.Put(store.KindModel, mk, model.Encode())
-		}
+		return m, nil
+	})
+	if err != nil {
+		info.Fallback = err.Error()
+		e.logger().Warn("triage fallback", "reason", info.Fallback)
+		return nil
+	}
+	if !trained {
+		info.ModelCached = true
+		info.TrainSamples = model.SampleCount
 	}
 
 	// Predicted-vs-actual accuracy on this run's own oracle cells, plus

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/costmodel"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -195,7 +197,8 @@ func stripPredicted(rs []CellResult) []CellResult {
 
 // TestTriageDeterminismAcrossWorkers is the predictor determinism gate:
 // the nine-app corpus swept at -j 1 and -j 8 must produce byte-identical
-// serialized models and identical cell results (hence rankings).
+// serialized models and identical cell results (hence rankings), and
+// the cache.* counters of the store read-through must match too.
 func TestTriageDeterminismAcrossWorkers(t *testing.T) {
 	g := Grid{
 		Apps:      apps.Names(), // all nine applications
@@ -208,9 +211,16 @@ func TestTriageDeterminismAcrossWorkers(t *testing.T) {
 	}
 	o := triageOpts()
 
+	cacheCounters := map[int][]obs.InstrumentSnap{}
 	modelBytes := func(workers int) ([]byte, *Report) {
 		dir := t.TempDir()
-		rep := mustRun(t, g, Options{Workers: workers, Triage: o, CacheDir: dir})
+		reg := obs.NewRegistry()
+		rep := mustRun(t, g, Options{Workers: workers, Triage: o, CacheDir: dir, Obs: &obs.Obs{Metrics: reg}})
+		for _, c := range reg.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "cache.") {
+				cacheCounters[workers] = append(cacheCounters[workers], c)
+			}
+		}
 		st, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -236,6 +246,10 @@ func TestTriageDeterminismAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Triage, r8.Triage) {
 		t.Fatalf("triage summaries differ:\n%+v\nvs\n%+v", r1.Triage, r8.Triage)
+	}
+	if len(cacheCounters[1]) == 0 || !reflect.DeepEqual(cacheCounters[1], cacheCounters[8]) {
+		t.Fatalf("cache counters differ between Workers=1 and Workers=8:\n%+v\nvs\n%+v",
+			cacheCounters[1], cacheCounters[8])
 	}
 }
 
