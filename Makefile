@@ -80,22 +80,30 @@ triagecheck:
 	$(GO) test -race ./internal/sweep/ -run Triage -count=1
 
 # Short fuzz pass over every fuzz target — canonical-code permutation
-# invariance and collision soundness, and the graph and store decoders
-# (hostile bytes must be an error, never a crash or an OOM); CI-sized
-# budget.
+# invariance and collision soundness, the clique solver against its
+# frozen reference (same clique and weight, budget cut-offs included),
+# and the graph and store decoders (hostile bytes must be an error,
+# never a crash or an OOM); CI-sized budget.
 fuzz:
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s
+	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzMaxWeightClique -fuzztime 30s
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzDecodeBinaryGraph -fuzztime 30s
 	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s
 
-# The PnR performance gates (DESIGN.md §10): the annealer inner loop
-# must stay at zero allocations per move and the router within its
-# per-net allocation budget, so the hot-path rewrites can't silently
-# rot back to map-based state. The telemetry additions (DESIGN.md §14):
-# steady-state time-series recording and the no-subscriber event guard
-# are allocation-free, and per-job trace capture stays O(spans).
+# The hot-path performance gates (DESIGN.md §10): the annealer inner
+# loop must stay at zero allocations per move and the router within its
+# per-net allocation budget; the merge clique search allocates per
+# search depth, never per branch step; a failed instruction-selection
+# match attempt allocates nothing; and rule verification allocates per
+# rule, never per simulation trial — so the hot-path rewrites can't
+# silently rot back to map-based state. The telemetry additions
+# (DESIGN.md §14): steady-state time-series recording and the
+# no-subscriber event guard are allocation-free, and per-job trace
+# capture stays O(spans).
 perfcheck:
 	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs' -count=1 -v
+	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v
+	$(GO) test ./internal/rewrite/ -run 'TestTryMatchAllocs|TestVerifyRuleAllocs' -count=1 -v
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs' -count=1
 
@@ -126,11 +134,13 @@ panic-lint:
 		echo "$$bad"; exit 1; fi
 
 # Diagnostics must go through internal/obs (structured slog + metrics),
-# not ad-hoc prints: reject log.Print*/fmt.Fprintf(os.Stderr, ...) in
-# non-test internal/ sources outside internal/obs. CLIs under cmd/ own
-# their stderr and are exempt; `lint:allow-diag` is the escape hatch.
+# not ad-hoc prints: reject log.Print*/fmt.Print*/fmt.Fprintf(os.Stderr,
+# ...) in non-test internal/ sources outside internal/obs (library code
+# printing to stdout corrupts the CLIs' tables). CLIs under cmd/ own
+# their stdout and stderr and are exempt; `lint:allow-diag` is the
+# escape hatch.
 diag-lint:
-	@bad=$$(grep -rn --include='*.go' -e 'log\.Print' -e 'fmt\.Fprintf(os\.Stderr' internal/ \
+	@bad=$$(grep -rn --include='*.go' -e 'log\.Print' -e 'fmt\.Print' -e 'fmt\.Fprintf(os\.Stderr' internal/ \
 		| grep -v '_test\.go:' | grep -v '^internal/obs/' | grep -v 'lint:allow-diag'; true); \
 	if [ -n "$$bad" ]; then \
 		echo "ad-hoc diagnostics in library code (use internal/obs logging/metrics):"; \

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/pe"
 	"repro/internal/rewrite"
 )
 
@@ -46,6 +47,7 @@ func Simulate(ctx context.Context, m *rewrite.Mapped, peLatency int, inputs map[
 	}
 	order := m.TopoOrder()
 	vals := make([]uint16, len(m.Nodes))
+	var uv pe.UnitValues
 	outs := map[string][]uint16{}
 	for i := range m.Nodes {
 		if m.Nodes[i].Kind == rewrite.KindOutput {
@@ -84,26 +86,11 @@ func Simulate(ctx context.Context, m *rewrite.Mapped, peLatency int, inputs map[
 				vals[i] = vals[n.Arg]
 				continue
 			case rewrite.KindPE:
-				cfg := n.Rule.Config.Clone()
-				for cu, v := range n.ConstVals {
-					cfg.ConstVals[cu] = v
-				}
-				for fu, tbl := range n.LUTTables {
-					cfg.ConstVals[fu] = tbl
-				}
-				inVals := map[int]uint16{}
-				for pos, p := range n.DataIn {
-					inVals[pos] = vals[p]
-				}
-				bitVals := map[int]uint16{}
-				for pos, p := range n.BitIn {
-					bitVals[pos] = vals[p]
-				}
-				res, err := m.Spec.Evaluate(cfg, inVals, bitVals)
+				v, err := m.EvalPE(n, vals, &uv)
 				if err != nil {
 					return nil, fmt.Errorf("cgra: simulate PE %d: %w", i, err)
 				}
-				comb = res[n.Rule.OutUnit]
+				comb = v
 			}
 			if l := lines[i]; l != nil {
 				out := l.buf[0]

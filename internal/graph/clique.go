@@ -51,10 +51,13 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 		pos[v] = i
 	}
 
-	// Adjacency bitsets in the reordered index space.
+	// Adjacency bitsets in the reordered index space, over one backing
+	// array.
+	words := len(newBitset(n))
+	flat := make(bitset, n*words)
 	nb := make([]bitset, n)
 	for i := range nb {
-		nb[i] = newBitset(n)
+		nb[i] = flat[i*words : (i+1)*words : (i+1)*words]
 	}
 	for v, ns := range adj {
 		for _, u := range ns {
@@ -70,12 +73,12 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 		w[i] = weights[v]
 	}
 
-	s := &cliqueSolver{n: n, nb: nb, w: w, budget: maxSteps}
-	all := newBitset(n)
+	s := newCliqueSolver(n, nb, w, maxSteps)
+	all := s.level(0).cand
 	for i := 0; i < n; i++ {
 		all.set(i)
 	}
-	s.expand(all, nil, 0)
+	s.expand(0, 0)
 
 	out := make([]int, len(s.best))
 	for i, v := range s.best {
@@ -85,46 +88,95 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 	return out, s.bestW, nil
 }
 
+// cliqueSolver is the branch-and-bound state. Everything the search
+// touches per branch step lives in flat scratch allocated once per call:
+// the clique stack cur, the incumbent buffer best, the colouring's two
+// working sets, and one level per search depth holding that depth's
+// candidate set and colour-ordered vertices with their bounds. A level
+// is allocated the first time the search reaches its depth and reused
+// by every later branch at that depth, so the allocation count of a call
+// follows the deepest clique it tries, not the number of branch steps.
 type cliqueSolver struct {
 	n      int
 	nb     []bitset
 	w      []float64
+	cur    []int
 	best   []int
 	bestW  float64
 	budget int
+
+	remaining, avail bitset // colorBound's working sets
+	levels           []cliqueLevel
 }
 
-// expand grows the current clique cur (weight curW) using candidate set p.
-func (s *cliqueSolver) expand(p bitset, cur []int, curW float64) {
+// cliqueLevel is the scratch of one search depth: cand is the candidate
+// set the depth expands, verts/bound its colouring (see colorBound).
+type cliqueLevel struct {
+	cand  bitset
+	verts []int
+	bound []float64
+}
+
+func newCliqueSolver(n int, nb []bitset, w []float64, budget int) *cliqueSolver {
+	return &cliqueSolver{
+		n:         n,
+		nb:        nb,
+		w:         w,
+		cur:       make([]int, 0, n),
+		best:      make([]int, 0, n),
+		budget:    budget,
+		remaining: newBitset(n),
+		avail:     newBitset(n),
+	}
+}
+
+// level returns the scratch of depth d, allocating it on first use.
+func (s *cliqueSolver) level(d int) *cliqueLevel {
+	for len(s.levels) <= d {
+		s.levels = append(s.levels, cliqueLevel{
+			cand:  newBitset(s.n),
+			verts: make([]int, 0, s.n),
+			bound: make([]float64, 0, s.n),
+		})
+	}
+	return &s.levels[d]
+}
+
+// expand grows the current clique s.cur (weight curW) using the
+// candidate set of depth d.
+func (s *cliqueSolver) expand(d int, curW float64) {
 	if s.budget <= 0 {
 		return
 	}
 	s.budget--
 
-	if curW > s.bestW || (s.best == nil && curW >= 0 && len(cur) > 0) {
-		if curW > s.bestW {
-			s.bestW = curW
-			s.best = append([]int(nil), cur...)
-		}
+	if curW > s.bestW {
+		s.bestW = curW
+		s.best = append(s.best[:0], s.cur...)
 	}
+	p := s.level(d).cand
 	if p.empty() {
 		return
 	}
 	// Greedy coloring bound: partition p into independent color classes;
 	// a clique takes at most one vertex per class, so the sum of class
 	// maxima bounds the achievable extra weight.
-	verts, bound := s.colorBound(p)
+	s.colorBound(d)
+	// The next level may be allocated below, which moves s.levels: hold
+	// this level's slices, not a pointer into it.
+	lv := s.levels[d]
 	// Visit candidates heaviest-bound-last order reversed for pruning.
-	for i := len(verts) - 1; i >= 0; i-- {
-		v := verts[i]
-		if curW+bound[i] <= s.bestW {
+	for i := len(lv.verts) - 1; i >= 0; i-- {
+		v := lv.verts[i]
+		if curW+lv.bound[i] <= s.bestW {
 			return // remaining candidates cannot beat the incumbent
 		}
-		np := p.clone()
+		np := s.level(d + 1).cand
+		copy(np, p)
 		np.andWith(s.nb[v])
-		cur = append(cur, v)
-		s.expand(np, cur, curW+s.w[v])
-		cur = cur[:len(cur)-1]
+		s.cur = append(s.cur, v)
+		s.expand(d+1, curW+s.w[v])
+		s.cur = s.cur[:len(s.cur)-1]
 		p.clear(v)
 		if s.budget <= 0 {
 			return
@@ -132,23 +184,26 @@ func (s *cliqueSolver) expand(p bitset, cur []int, curW float64) {
 	}
 }
 
-// colorBound greedily colors the candidate set and returns the candidates
-// ordered by color, along with a per-position cumulative weight bound:
-// bound[i] = max achievable weight using verts[0..i].
-func (s *cliqueSolver) colorBound(p bitset) (verts []int, bound []float64) {
-	remaining := p.clone()
-	var classMax []float64
-	var colorOf []int
+// colorBound greedily colors the candidate set of depth d and leaves the
+// candidates ordered by color in the level's verts, along with a
+// per-position cumulative weight bound: bound[i] = max achievable weight
+// using verts[0..i].
+func (s *cliqueSolver) colorBound(d int) {
+	lv := &s.levels[d]
+	verts, bound := lv.verts[:0], lv.bound[:0]
+	remaining, avail := s.remaining, s.avail
+	copy(remaining, lv.cand)
+	cum := 0.0
 	for !remaining.empty() {
 		classW := 0.0
-		avail := remaining.clone()
+		start := len(verts)
+		copy(avail, remaining)
 		for {
 			v := avail.firstSet()
 			if v < 0 {
 				break
 			}
 			verts = append(verts, v)
-			colorOf = append(colorOf, len(classMax))
 			if s.w[v] > classW {
 				classW = s.w[v]
 			}
@@ -156,39 +211,10 @@ func (s *cliqueSolver) colorBound(p bitset) (verts []int, bound []float64) {
 			avail.clear(v)
 			avail.andNotWith(s.nb[v])
 		}
-		classMax = append(classMax, classW)
-	}
-	bound = make([]float64, len(verts))
-	cum := 0.0
-	seen := make([]bool, len(classMax))
-	for i, v := range verts {
-		c := colorOf[i]
-		if !seen[c] {
-			seen[c] = true
-			cum += classMax[c]
-		}
-		_ = v
-		bound[i] = cum
-	}
-	return verts, bound
-}
-
-// IsClique reports whether vs forms a clique in adj (every pair adjacent).
-func IsClique(adj UndirectedAdj, vs []int) bool {
-	set := make(map[int]map[int]bool, len(adj))
-	for v, ns := range adj {
-		m := make(map[int]bool, len(ns))
-		for _, u := range ns {
-			m[u] = true
-		}
-		set[v] = m
-	}
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if !set[vs[i]][vs[j]] {
-				return false
-			}
+		cum += classW
+		for range verts[start:] {
+			bound = append(bound, cum)
 		}
 	}
-	return true
+	lv.verts, lv.bound = verts, bound
 }

@@ -33,16 +33,22 @@ type Spec struct {
 
 	// portSources[(unit,port)] lists candidate source units.
 	portSources map[[2]int][]int
+	// portOf[u] is the PE port position of input unit u (its index in
+	// Inputs or InputsB); -1 for every other unit.
+	portOf []int
 }
 
 // FromDatapath builds a Spec from a merged datapath.
 func FromDatapath(name string, dp *merge.Datapath) *Spec {
-	s := &Spec{Name: name, DP: dp, portSources: map[[2]int][]int{}}
+	s := &Spec{Name: name, DP: dp, portSources: map[[2]int][]int{}, portOf: make([]int, len(dp.Units))}
 	for i, u := range dp.Units {
+		s.portOf[i] = -1
 		switch u.Kind {
 		case merge.UnitInput:
+			s.portOf[i] = len(s.Inputs)
 			s.Inputs = append(s.Inputs, i)
 		case merge.UnitInputB:
+			s.portOf[i] = len(s.InputsB)
 			s.InputsB = append(s.InputsB, i)
 		case merge.UnitConst:
 			s.Consts = append(s.Consts, i)
@@ -150,89 +156,111 @@ func (s *Spec) Validate(c Config) error {
 	return nil
 }
 
-// Evaluate runs the functional model: inputVals maps PE data-input
-// position to its value, bitVals maps PE bit-input position to its value.
-// The result maps output unit index to the computed word.
-func (s *Spec) Evaluate(c Config, inputVals map[int]uint16, bitVals map[int]uint16) (map[int]uint16, error) {
-	memo := map[int]uint16{}
-	state := map[int]uint8{} // 1 = in progress, 2 = done
-	var eval func(u int) (uint16, error)
-	eval = func(u int) (uint16, error) {
-		if state[u] == 2 {
-			return memo[u], nil
-		}
-		if state[u] == 1 {
-			return 0, fmt.Errorf("pe: configured datapath has a combinational cycle at unit %d", u)
-		}
-		state[u] = 1
-		unit := &s.DP.Units[u]
-		var v uint16
-		switch unit.Kind {
-		case merge.UnitInput:
-			pos := indexOf(s.Inputs, u)
-			v = inputVals[pos]
-		case merge.UnitInputB:
-			pos := indexOf(s.InputsB, u)
-			v = bitVals[pos] & 1
-		case merge.UnitConst:
-			v = c.ConstVals[u]
-			if unit.Bit {
-				v &= 1
-			}
-		case merge.UnitOp:
-			op, ok := c.OpSel[u]
-			if !ok {
-				if len(unit.Ops) == 1 {
-					op = unit.Ops[0]
-				} else {
-					return 0, fmt.Errorf("pe: unit %d (%s) has no op selected", u, unit)
-				}
-			}
-			args := make([]uint16, op.Arity())
-			// Operand ports beyond the op's arity are ignored; the op
-			// consumes its operands from the low ports.
-			for p := 0; p < op.Arity(); p++ {
-				src, ok := c.PortSel[[2]int{u, p}]
-				if !ok {
-					return 0, fmt.Errorf("pe: unit %d port %d unconfigured", u, p)
-				}
-				av, err := eval(src)
-				if err != nil {
-					return 0, err
-				}
-				args[p] = av
-			}
-			// The immediate (LUT table) rides on the op selection; LUT
-			// tables are stored as the constant value of the unit's
-			// config — encode via ConstVals keyed by the FU index.
-			v = ir.EvalOp(op, args, c.ConstVals[u])
-		case merge.UnitOutput:
-			src, ok := c.OutSel[u]
-			if !ok {
-				return 0, fmt.Errorf("pe: output %d unconfigured", u)
-			}
-			sv, err := eval(src)
-			if err != nil {
-				return 0, err
-			}
-			v = sv
-		}
-		memo[u] = v
-		state[u] = 2
-		return v, nil
+// UnitValues is the reusable working state of Evaluate, indexed by
+// datapath unit: after a successful Evaluate, Vals[u] holds the value of
+// every unit feeding a configured output (other entries are stale).
+// Reusing one UnitValues across evaluations of a spec keeps them free of
+// allocation.
+type UnitValues struct {
+	Vals  []uint16
+	state []uint8 // 1 = in progress, 2 = done
+}
+
+// Evaluate runs the functional model: in[k] is the value on PE data
+// input k and bits[k] the value on bit input k (positions past the end
+// of either slice read 0). Every configured output is evaluated; the
+// result is uv.Vals, indexed by unit, so the value of output unit o is
+// Evaluate(...)[o]. uv may be nil, in which case fresh state is
+// allocated.
+func (s *Spec) Evaluate(c Config, in, bits []uint16, uv *UnitValues) ([]uint16, error) {
+	if uv == nil {
+		uv = &UnitValues{}
 	}
-	outs := map[int]uint16{}
+	n := len(s.DP.Units)
+	if len(uv.Vals) != n {
+		uv.Vals = make([]uint16, n)
+		uv.state = make([]uint8, n)
+	} else {
+		clear(uv.state)
+	}
 	for _, o := range s.Outputs {
 		if _, ok := c.OutSel[o]; !ok {
 			continue // unconfigured outputs are idle
 		}
-		v, err := eval(o)
-		if err != nil {
+		if _, err := uv.eval(s, &c, in, bits, o); err != nil {
 			return nil, err
 		}
-		outs[o] = v
 	}
-	return outs, nil
+	return uv.Vals, nil
+}
+
+// eval computes unit u's value, memoized in uv.Vals.
+func (uv *UnitValues) eval(s *Spec, c *Config, in, bits []uint16, u int) (uint16, error) {
+	switch uv.state[u] {
+	case 2:
+		return uv.Vals[u], nil
+	case 1:
+		return 0, fmt.Errorf("pe: configured datapath has a combinational cycle at unit %d", u)
+	}
+	uv.state[u] = 1
+	unit := &s.DP.Units[u]
+	var v uint16
+	switch unit.Kind {
+	case merge.UnitInput:
+		if pos := s.portOf[u]; pos < len(in) {
+			v = in[pos]
+		}
+	case merge.UnitInputB:
+		if pos := s.portOf[u]; pos < len(bits) {
+			v = bits[pos] & 1
+		}
+	case merge.UnitConst:
+		v = c.ConstVals[u]
+		if unit.Bit {
+			v &= 1
+		}
+	case merge.UnitOp:
+		op, ok := c.OpSel[u]
+		if !ok {
+			if len(unit.Ops) == 1 {
+				op = unit.Ops[0]
+			} else {
+				return 0, fmt.Errorf("pe: unit %d (%s) has no op selected", u, unit)
+			}
+		}
+		var buf [3]uint16 // ir ops take at most three operands
+		args := buf[:op.Arity()]
+		// Operand ports beyond the op's arity are ignored; the op
+		// consumes its operands from the low ports.
+		for p := range args {
+			src, ok := c.PortSel[[2]int{u, p}]
+			if !ok {
+				return 0, fmt.Errorf("pe: unit %d port %d unconfigured", u, p)
+			}
+			av, err := uv.eval(s, c, in, bits, src)
+			if err != nil {
+				return 0, err
+			}
+			args[p] = av
+		}
+		// The immediate (LUT table) rides on the op selection; LUT
+		// tables are stored as the constant value of the unit's
+		// config — encode via ConstVals keyed by the FU index.
+		v = ir.EvalOp(op, args, c.ConstVals[u])
+	case merge.UnitOutput:
+		src, ok := c.OutSel[u]
+		if !ok {
+			return 0, fmt.Errorf("pe: output %d unconfigured", u)
+		}
+		sv, err := uv.eval(s, c, in, bits, src)
+		if err != nil {
+			return 0, err
+		}
+		v = sv
+	}
+	uv.Vals[u] = v
+	uv.state[u] = 2
+	return v, nil
 }
 
 // SymbolicEval computes the canonical expression of each configured
@@ -255,9 +283,9 @@ func (s *Spec) SymbolicEval(c Config, pinConsts bool) (map[int]*ir.Expr, error) 
 		var e *ir.Expr
 		switch unit.Kind {
 		case merge.UnitInput:
-			e = ir.Var(fmt.Sprintf("in%d", indexOf(s.Inputs, u)))
+			e = ir.Var(fmt.Sprintf("in%d", s.portOf[u]))
 		case merge.UnitInputB:
-			e = ir.Var(fmt.Sprintf("inb%d", indexOf(s.InputsB, u)))
+			e = ir.Var(fmt.Sprintf("inb%d", s.portOf[u]))
 		case merge.UnitConst:
 			if v, ok := c.ConstVals[u]; ok && pinConsts {
 				e = ir.ConstExpr(v)
@@ -351,13 +379,4 @@ func bitsFor(n int) int {
 		b++
 	}
 	return b
-}
-
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }

@@ -68,7 +68,7 @@ func configureAdd(t *testing.T, s *Spec) Config {
 func TestEvaluateAdd(t *testing.T) {
 	s := baselineSpec(t, []ir.Op{ir.OpAdd, ir.OpMul})
 	cfg := configureAdd(t, s)
-	outs, err := s.Evaluate(cfg, map[int]uint16{0: 30, 1: 12}, nil)
+	outs, err := s.Evaluate(cfg, []uint16{30, 12}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEvaluateConstRegister(t *testing.T) {
 	cfg.PortSel[[2]int{addFU, 1}] = constSrc
 	cfg.ConstVals[constSrc] = 100
 	cfg.OutSel[s.Outputs[0]] = addFU
-	outs, err := s.Evaluate(cfg, map[int]uint16{0: 11}, nil)
+	outs, err := s.Evaluate(cfg, []uint16{11}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEvaluateUnconfiguredFails(t *testing.T) {
 	cfg.OutSel[s.Outputs[0]] = s.FUs[0]
 	// Op not selected is fine only for single-op units; addsub with one
 	// op (add) auto-selects, but its ports are unconfigured.
-	if _, err := s.Evaluate(cfg, nil, nil); err == nil {
+	if _, err := s.Evaluate(cfg, nil, nil, nil); err == nil {
 		t.Fatal("expected unconfigured port error")
 	}
 }

@@ -219,7 +219,7 @@ func TestFuzzRuleSynthesisNeverWrong(t *testing.T) {
 			continue // baseline PE has one FU per class: multi-op trees won't fit
 		}
 		synthesized++
-		if err := verifyRule(rule); err != nil {
+		if err := verifyRule(rule, new(ruleVerifier)); err != nil {
 			t.Fatalf("trial %d: synthesized rule fails re-verification: %v", trial, err)
 		}
 	}

@@ -200,6 +200,7 @@ func (m *Mapped) TopoOrder() []int {
 func (m *Mapped) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 	vals := make([]uint16, len(m.Nodes))
 	outs := map[string]uint16{}
+	var uv pe.UnitValues
 	for _, i := range m.TopoOrder() {
 		n := &m.Nodes[i]
 		switch n.Kind {
@@ -215,86 +216,84 @@ func (m *Mapped) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 			vals[i] = vals[n.Arg]
 			outs[n.Name] = vals[i]
 		case KindPE:
-			cfg := n.Rule.Config.Clone()
-			for cu, v := range n.ConstVals {
-				cfg.ConstVals[cu] = v
-			}
-			for fu, tbl := range n.LUTTables {
-				cfg.ConstVals[fu] = tbl
-			}
-			inVals := map[int]uint16{}
-			for pos, p := range n.DataIn {
-				inVals[pos] = vals[p]
-			}
-			bitVals := map[int]uint16{}
-			for pos, p := range n.BitIn {
-				bitVals[pos] = vals[p]
-			}
-			res, err := m.Spec.Evaluate(cfg, inVals, bitVals)
+			v, err := m.EvalPE(n, vals, &uv)
 			if err != nil {
 				return nil, fmt.Errorf("rewrite: PE node %d (%s): %w", i, n.Rule.Name, err)
 			}
-			vals[i] = res[n.Rule.OutUnit]
+			vals[i] = v
 		}
 	}
 	return outs, nil
 }
 
+// EvalPE evaluates PE node n of the mapped graph: its rule's
+// configuration with the node's per-site constants and LUT tables bound,
+// on the values vals (indexed by mapped node) of its producers. uv is the
+// evaluator's reusable working state (see pe.UnitValues).
+func (m *Mapped) EvalPE(n *MNode, vals []uint16, uv *pe.UnitValues) (uint16, error) {
+	cfg := n.Rule.Config.Clone()
+	for cu, v := range n.ConstVals {
+		cfg.ConstVals[cu] = v
+	}
+	for fu, tbl := range n.LUTTables {
+		cfg.ConstVals[fu] = tbl
+	}
+	in := make([]uint16, m.Spec.NumDataInputs())
+	for pos, p := range n.DataIn {
+		in[pos] = vals[p]
+	}
+	bits := make([]uint16, m.Spec.NumBitInputs())
+	for pos, p := range n.BitIn {
+		bits[pos] = vals[p]
+	}
+	res, err := m.Spec.Evaluate(cfg, in, bits, uv)
+	if err != nil {
+		return 0, err
+	}
+	return res[n.Rule.OutUnit], nil
+}
+
 // match records one committed rule application.
 type match struct {
-	rule     *Rule
-	root     ir.NodeRef
-	nodeMap  map[ir.NodeRef]ir.NodeRef // pattern compute/const -> app node
-	inputMap map[ir.NodeRef]ir.NodeRef // pattern input -> app producer
+	rule *Rule
+	root ir.NodeRef
+	// bind maps each pattern node the match uses to its app node, -1 for
+	// the rest: compute and constant nodes to the app nodes they absorb,
+	// input nodes to the app producers they read.
+	bind []ir.NodeRef
 }
 
 // MapApp covers the application graph with the rule set's patterns,
 // complex rules first (the paper's greedy LLVM-style instruction
 // selection), and returns the mapped graph.
 func MapApp(app *ir.Graph, rs *RuleSet, name string) (*Mapped, error) {
-	users := make([][]ir.NodeRef, len(app.Nodes))
-	for i, n := range app.Nodes {
-		for _, a := range n.Args {
-			users[a] = append(users[a], ir.NodeRef(i))
-		}
-	}
-	covered := make([]*match, len(app.Nodes))
-	isRoot := make([]bool, len(app.Nodes))
-	required := make([]bool, len(app.Nodes))
-	// Values consumed by structural nodes must be exposed on the fabric.
-	for _, n := range app.Nodes {
-		switch n.Op {
-		case ir.OpOutput, ir.OpMem, ir.OpReg, ir.OpRegFileFIFO, ir.OpRom:
-			for _, a := range n.Args {
-				required[a] = true
-			}
-		}
-	}
-
+	m := newMapper(app, rs)
 	var matches []*match
 	order := reverseTopo(app)
 	for _, rule := range rs.Rules {
 		rootOp := app0Op(rule)
 		for _, av := range order {
 			n := &app.Nodes[av]
-			if n.Op != rootOp || covered[av] != nil {
+			if n.Op != rootOp || m.covered[av] != nil {
 				continue
 			}
-			mt := tryMatch(app, users, covered, required, isRoot, rule, av)
+			mt := m.tryMatch(rule, av)
 			if mt == nil {
 				continue
 			}
 			// Commit.
 			matches = append(matches, mt)
-			for pv, anode := range mt.nodeMap {
-				if rule.Pattern.Nodes[pv].Op.IsCompute() {
-					covered[anode] = mt
+			for pv, anode := range mt.bind {
+				if anode < 0 {
+					continue
 				}
-			}
-			isRoot[mt.root] = true
-			for _, anode := range mt.inputMap {
-				if app.Nodes[anode].Op.IsCompute() {
-					required[anode] = true
+				switch op := rule.Pattern.Nodes[pv].Op; {
+				case op.IsCompute():
+					m.covered[anode] = mt
+				case op == ir.OpInput || op == ir.OpInputB:
+					if app.Nodes[anode].Op.IsCompute() {
+						m.required[anode] = true
+					}
 				}
 			}
 		}
@@ -302,13 +301,75 @@ func MapApp(app *ir.Graph, rs *RuleSet, name string) (*Mapped, error) {
 
 	// Every compute node must be covered.
 	for i, n := range app.Nodes {
-		if n.Op.IsCompute() && covered[i] == nil {
+		if n.Op.IsCompute() && m.covered[i] == nil {
 			return nil, fmt.Errorf("rewrite: no rule covers node %d (%s) — PE lacks op %s",
 				i, n.Op, n.Op)
 		}
 	}
 
-	return buildMapped(app, covered, matches, rs.Spec, name)
+	return buildMapped(app, m.covered, matches, rs.Spec, name)
+}
+
+// mapper is the instruction selector's state for one MapApp call. The
+// match search keeps its bindings in two flat slices — bind (pattern
+// node → app node) and rev (app node → pattern compute node), -1 for
+// unbound — and records every write on an undo trail: backtracking from
+// a failed operand order pops the trail back to a mark instead of
+// restoring copied maps, and every attempt ends by popping it empty, so
+// the scratch is clean for the next one and a failed attempt allocates
+// nothing.
+type mapper struct {
+	app      *ir.Graph
+	users    [][]ir.NodeRef
+	covered  []*match
+	required []bool
+
+	rule  *Rule // the attempt's rule
+	root  ir.NodeRef
+	bind  []ir.NodeRef
+	rev   []ir.NodeRef
+	trail []binding
+}
+
+// binding is one undo-trail entry: slot at of bind (or of rev) held old.
+type binding struct {
+	rev bool
+	at  ir.NodeRef
+	old ir.NodeRef
+}
+
+func newMapper(app *ir.Graph, rs *RuleSet) *mapper {
+	m := &mapper{
+		app:      app,
+		users:    make([][]ir.NodeRef, len(app.Nodes)),
+		covered:  make([]*match, len(app.Nodes)),
+		required: make([]bool, len(app.Nodes)),
+		rev:      make([]ir.NodeRef, len(app.Nodes)),
+	}
+	for i, n := range app.Nodes {
+		for _, a := range n.Args {
+			m.users[a] = append(m.users[a], ir.NodeRef(i))
+		}
+		// Values consumed by structural nodes must be exposed on the fabric.
+		switch n.Op {
+		case ir.OpOutput, ir.OpMem, ir.OpReg, ir.OpRegFileFIFO, ir.OpRom:
+			for _, a := range n.Args {
+				m.required[a] = true
+			}
+		}
+	}
+	maxPattern := 0
+	for _, r := range rs.Rules {
+		maxPattern = max(maxPattern, len(r.Pattern.Nodes))
+	}
+	m.bind = make([]ir.NodeRef, maxPattern)
+	for i := range m.bind {
+		m.bind[i] = -1
+	}
+	for i := range m.rev {
+		m.rev[i] = -1
+	}
+	return m
 }
 
 func app0Op(rule *Rule) ir.Op { return rule.Pattern.Nodes[rule.Root].Op }
@@ -316,165 +377,152 @@ func app0Op(rule *Rule) ir.Op { return rule.Pattern.Nodes[rule.Root].Op }
 func reverseTopo(app *ir.Graph) []ir.NodeRef {
 	// Reverse topological: users before producers, so bigger matches
 	// claim downstream roots first.
-	n := len(app.Nodes)
-	state := make([]uint8, n)
-	var order []ir.NodeRef
-	var visit func(v ir.NodeRef)
-	visit = func(v ir.NodeRef) {
-		if state[v] != 0 {
-			return
-		}
-		state[v] = 1
-		for _, a := range app.Nodes[v].Args {
-			visit(a)
-		}
-		state[v] = 2
-		order = append(order, v)
-	}
-	for v := 0; v < n; v++ {
-		visit(ir.NodeRef(v))
-	}
-	// order is topological (producers first); reverse it.
+	order := appTopo(app)
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
 }
 
-// tryMatch attempts to match the rule's pattern rooted at app node av.
-func tryMatch(app *ir.Graph, users [][]ir.NodeRef, covered []*match, required, isRoot []bool, rule *Rule, av ir.NodeRef) *match {
-	mt := &match{
-		rule:     rule,
-		root:     av,
-		nodeMap:  map[ir.NodeRef]ir.NodeRef{},
-		inputMap: map[ir.NodeRef]ir.NodeRef{},
+// tryMatch attempts to match the rule's pattern rooted at app node av,
+// returning the match or nil.
+func (m *mapper) tryMatch(rule *Rule, av ir.NodeRef) *match {
+	m.rule, m.root = rule, av
+	var mt *match
+	if m.bindNode(rule.Root, av) && m.closed() {
+		bind := m.bind[:len(rule.Pattern.Nodes)]
+		mt = &match{rule: rule, root: av, bind: append([]ir.NodeRef(nil), bind...)}
 	}
-	rev := map[ir.NodeRef]ir.NodeRef{}
-	var bind func(pv, anode ir.NodeRef) bool
-	bind = func(pv, anode ir.NodeRef) bool {
-		pn := &rule.Pattern.Nodes[pv]
-		an := &app.Nodes[anode]
-		switch pn.Op {
-		case ir.OpInput:
-			// Wildcard: any producer except constants and outputs.
-			if an.Op == ir.OpConst || an.Op == ir.OpConstB || an.Op == ir.OpOutput {
-				return false
-			}
-			// The producer's value must be exposable: it must not be
-			// interior to another committed match.
-			if cm := covered[anode]; cm != nil && cm.root != anode {
-				return false
-			}
-			if prev, ok := mt.inputMap[pv]; ok {
-				return prev == anode
-			}
-			mt.inputMap[pv] = anode
-			return true
-		case ir.OpInputB:
-			if an.Op == ir.OpConst || an.Op == ir.OpConstB || an.Op == ir.OpOutput {
-				return false
-			}
-			if cm := covered[anode]; cm != nil && cm.root != anode {
-				return false
-			}
-			if prev, ok := mt.inputMap[pv]; ok {
-				return prev == anode
-			}
-			mt.inputMap[pv] = anode
-			return true
-		case ir.OpConst:
-			if an.Op != ir.OpConst {
-				return false
-			}
-			mt.nodeMap[pv] = anode
-			return true
-		case ir.OpConstB:
-			if an.Op != ir.OpConstB {
-				return false
-			}
-			mt.nodeMap[pv] = anode
-			return true
-		}
-		// Compute node.
-		if an.Op != pn.Op {
-			return false
-		}
-		if covered[anode] != nil {
-			return false
-		}
-		// Interior nodes must be absorbable: not required on the fabric.
-		if anode != av && required[anode] {
-			return false
-		}
-		if prev, ok := mt.nodeMap[pv]; ok {
-			return prev == anode
-		}
-		if prevP, ok := rev[anode]; ok && prevP != pv {
-			return false
-		}
-		mt.nodeMap[pv] = anode
-		rev[anode] = pv
-
-		orders := [][]int{identityOrder(len(pn.Args))}
-		if pn.Op.Commutative() && len(pn.Args) == 2 {
-			orders = append(orders, []int{1, 0})
-		}
-		for _, ord := range orders {
-			ok := true
-			// Snapshot for backtracking across operand orders.
-			snapNode := copyRefRefMap(mt.nodeMap)
-			snapIn := copyRefRefMap(mt.inputMap)
-			snapRev := copyRefRefMap(rev)
-			for p := range pn.Args {
-				if !bind(pn.Args[p], an.Args[ord[p]]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-			mt.nodeMap = snapNode
-			mt.inputMap = snapIn
-			rev = snapRev
-			// Re-establish this node's own binding after restore.
-			mt.nodeMap[pv] = anode
-			rev[anode] = pv
-		}
-		delete(mt.nodeMap, pv)
-		delete(rev, anode)
-		return false
-	}
-	if !bind(rule.Root, av) {
-		return nil
-	}
-	// Interior compute nodes must have every user inside the match.
-	for pv, anode := range mt.nodeMap {
-		if !rule.Pattern.Nodes[pv].Op.IsCompute() || anode == av {
-			continue
-		}
-		for _, u := range users[anode] {
-			if _, ok := rev[u]; !ok {
-				return nil
-			}
-		}
-	}
-	// A wildcard operand must not point at a node this very match
-	// absorbs as interior (its value would not exist on the fabric).
-	for _, anode := range mt.inputMap {
-		if _, interior := rev[anode]; interior && anode != av {
-			return nil
-		}
-	}
+	m.undo(0)
 	return mt
 }
 
-func copyRefRefMap(m map[ir.NodeRef]ir.NodeRef) map[ir.NodeRef]ir.NodeRef {
-	c := make(map[ir.NodeRef]ir.NodeRef, len(m))
-	for k, v := range m {
-		c[k] = v
+// set records slot at of bind (or rev) on the trail and overwrites it.
+func (m *mapper) set(rev bool, at, val ir.NodeRef) {
+	tab := m.bind
+	if rev {
+		tab = m.rev
 	}
-	return c
+	m.trail = append(m.trail, binding{rev: rev, at: at, old: tab[at]})
+	tab[at] = val
+}
+
+// undo pops the trail back to length mark, restoring each slot.
+func (m *mapper) undo(mark int) {
+	for len(m.trail) > mark {
+		b := m.trail[len(m.trail)-1]
+		m.trail = m.trail[:len(m.trail)-1]
+		if b.rev {
+			m.rev[b.at] = b.old
+		} else {
+			m.bind[b.at] = b.old
+		}
+	}
+}
+
+// bindNode binds pattern node pv to app node anode and, for a compute
+// node, its operand subtree; on failure the bindings are as before.
+func (m *mapper) bindNode(pv, anode ir.NodeRef) bool {
+	pn := &m.rule.Pattern.Nodes[pv]
+	an := &m.app.Nodes[anode]
+	switch pn.Op {
+	case ir.OpInput, ir.OpInputB:
+		// Wildcard: any producer except constants and outputs.
+		if an.Op == ir.OpConst || an.Op == ir.OpConstB || an.Op == ir.OpOutput {
+			return false
+		}
+		// The producer's value must be exposable: it must not be
+		// interior to another committed match.
+		if cm := m.covered[anode]; cm != nil && cm.root != anode {
+			return false
+		}
+		if prev := m.bind[pv]; prev >= 0 {
+			return prev == anode
+		}
+		m.set(false, pv, anode)
+		return true
+	case ir.OpConst, ir.OpConstB:
+		if an.Op != pn.Op {
+			return false
+		}
+		m.set(false, pv, anode)
+		return true
+	}
+	// Compute node.
+	if an.Op != pn.Op {
+		return false
+	}
+	if m.covered[anode] != nil {
+		return false
+	}
+	// Interior nodes must be absorbable: not required on the fabric.
+	if anode != m.root && m.required[anode] {
+		return false
+	}
+	if prev := m.bind[pv]; prev >= 0 {
+		return prev == anode
+	}
+	if prevP := m.rev[anode]; prevP >= 0 && prevP != pv {
+		return false
+	}
+	m.set(false, pv, anode)
+	m.set(true, anode, pv)
+	// Operand orders: identity, then the swap for commutative 2-operand
+	// ops; a failed order leaves only this node's own binding.
+	mark := len(m.trail)
+	if m.bindArgs(pn, an, false) {
+		return true
+	}
+	m.undo(mark)
+	if pn.Op.Commutative() && len(pn.Args) == 2 {
+		if m.bindArgs(pn, an, true) {
+			return true
+		}
+		m.undo(mark)
+	}
+	m.undo(mark - 2)
+	return false
+}
+
+// bindArgs binds pattern node pn's operands to app node an's, swapped
+// when swap is set.
+func (m *mapper) bindArgs(pn, an *ir.Node, swap bool) bool {
+	for p, parg := range pn.Args {
+		ai := p
+		if swap {
+			ai = 1 - p
+		}
+		if !m.bindNode(parg, an.Args[ai]) {
+			return false
+		}
+	}
+	return true
+}
+
+// closed checks a bound match can be committed: interior compute nodes
+// have every user inside the match, and no wildcard operand reads a
+// node this very match absorbs as interior (its value would not exist
+// on the fabric).
+func (m *mapper) closed() bool {
+	nodes := m.rule.Pattern.Nodes
+	for pv, anode := range m.bind[:len(nodes)] {
+		if anode < 0 || anode == m.root {
+			continue
+		}
+		switch op := nodes[pv].Op; {
+		case op.IsCompute():
+			for _, u := range m.users[anode] {
+				if m.rev[u] < 0 {
+					return false
+				}
+			}
+		case op == ir.OpInput || op == ir.OpInputB:
+			if m.rev[anode] >= 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // buildMapped materializes the mapped graph from committed matches.
@@ -555,26 +603,27 @@ func buildMapped(app *ir.Graph, covered []*match, matches []*match, spec *pe.Spe
 				LUTTables: map[int]uint16{},
 				Arg:       -1,
 			}
-			for pv, anode := range cm.inputMap {
-				p, err := producerIdx(anode)
-				if err != nil {
-					return nil, err
+			for pv, anode := range cm.bind {
+				if anode < 0 {
+					continue
 				}
-				if pos, ok := cm.rule.InputPorts[pv]; ok {
-					pn.DataIn[pos] = p
-				} else if pos, ok := cm.rule.BitPorts[pv]; ok {
-					pn.BitIn[pos] = p
-				} else {
-					return nil, fmt.Errorf("rewrite: pattern input %d has no PE port", pv)
-				}
-			}
-			for pv, anode := range cm.nodeMap {
-				pnode := &cm.rule.Pattern.Nodes[pv]
-				switch pnode.Op {
+				switch cm.rule.Pattern.Nodes[pv].Op {
+				case ir.OpInput, ir.OpInputB:
+					p, err := producerIdx(anode)
+					if err != nil {
+						return nil, err
+					}
+					if pos, ok := cm.rule.InputPorts[ir.NodeRef(pv)]; ok {
+						pn.DataIn[pos] = p
+					} else if pos, ok := cm.rule.BitPorts[ir.NodeRef(pv)]; ok {
+						pn.BitIn[pos] = p
+					} else {
+						return nil, fmt.Errorf("rewrite: pattern input %d has no PE port", pv)
+					}
 				case ir.OpConst, ir.OpConstB:
-					pn.ConstVals[cm.rule.ConstRegs[pv]] = app.Nodes[anode].Val
+					pn.ConstVals[cm.rule.ConstRegs[ir.NodeRef(pv)]] = app.Nodes[anode].Val
 				case ir.OpLUT:
-					pn.LUTTables[cm.rule.LUTUnits[pv]] = app.Nodes[anode].Val
+					pn.LUTTables[cm.rule.LUTUnits[ir.NodeRef(pv)]] = app.Nodes[anode].Val
 				}
 			}
 			mappedIdx[av] = m.add(pn)

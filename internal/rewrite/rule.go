@@ -17,8 +17,8 @@ package rewrite
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/merge"
@@ -83,17 +83,7 @@ func SynthesizeRule(spec *pe.Spec, pattern *ir.Graph, name string) (*Rule, error
 	if err != nil {
 		return nil, err
 	}
-	st := &synthState{
-		spec:      spec,
-		pat:       pattern,
-		mapFU:     map[ir.NodeRef]int{},
-		usedFU:    map[int]bool{},
-		mapConst:  map[ir.NodeRef]int{},
-		usedConst: map[int]bool{},
-		mapIn:     map[ir.NodeRef]int{},
-		usedIn:    map[int]bool{},
-		portSel:   map[[2]int]int{},
-	}
+	st := newSynthState(spec, pattern)
 	var found *Rule
 	// The root must reach some output unit.
 	for _, out := range spec.Outputs {
@@ -132,6 +122,21 @@ type synthState struct {
 	usedIn    map[int]bool
 	portSel   map[[2]int]int
 	steps     int
+	ver       ruleVerifier // reused by every candidate the search verifies
+}
+
+func newSynthState(spec *pe.Spec, pattern *ir.Graph) *synthState {
+	return &synthState{
+		spec:      spec,
+		pat:       pattern,
+		mapFU:     map[ir.NodeRef]int{},
+		usedFU:    map[int]bool{},
+		mapConst:  map[ir.NodeRef]int{},
+		usedConst: map[int]bool{},
+		mapIn:     map[ir.NodeRef]int{},
+		usedIn:    map[int]bool{},
+		portSel:   map[[2]int]int{},
+	}
 }
 
 // bind tries to map pattern node v onto datapath unit u and then invokes
@@ -207,28 +212,29 @@ func (s *synthState) bind(v ir.NodeRef, u int, cont func() bool) bool {
 
 	// Operand orders to try: identity, plus the swap for commutative
 	// 2-operand ops.
-	orders := [][]int{identityOrder(len(n.Args))}
-	if n.Op.Commutative() && len(n.Args) == 2 {
-		orders = append(orders, []int{1, 0})
+	if s.bindArgs(v, u, false, 0, cont) {
+		return true
 	}
-	for _, ord := range orders {
-		if s.bindArgs(v, u, ord, 0, cont) {
-			return true
-		}
+	if n.Op.Commutative() && len(n.Args) == 2 && s.bindArgs(v, u, true, 0, cont) {
+		return true
 	}
 	delete(s.mapFU, v)
 	delete(s.usedFU, u)
 	return false
 }
 
-// bindArgs assigns v's operands (in permutation ord) starting at position
-// p to wires feeding unit u, invoking cont when all are bound.
-func (s *synthState) bindArgs(v ir.NodeRef, u int, ord []int, p int, cont func() bool) bool {
+// bindArgs assigns v's operands (swapped, for a commutative 2-operand
+// op, when swap is set) starting at position p to wires feeding unit u,
+// invoking cont when all are bound.
+func (s *synthState) bindArgs(v ir.NodeRef, u int, swap bool, p int, cont func() bool) bool {
 	n := &s.pat.Nodes[v]
 	if p == len(n.Args) {
 		return cont()
 	}
-	child := n.Args[ord[p]]
+	child := n.Args[p]
+	if swap {
+		child = n.Args[1-p]
+	}
 	key := [2]int{u, p}
 	for _, src := range s.spec.PortSources(u, p) {
 		if prev, had := s.portSel[key]; had && prev != src {
@@ -237,7 +243,7 @@ func (s *synthState) bindArgs(v ir.NodeRef, u int, ord []int, p int, cont func()
 		_, had := s.portSel[key]
 		s.portSel[key] = src
 		ok := s.bind(child, src, func() bool {
-			return s.bindArgs(v, u, ord, p+1, cont)
+			return s.bindArgs(v, u, swap, p+1, cont)
 		})
 		if ok {
 			return true
@@ -257,16 +263,18 @@ func copyRefRefIntMap(m map[ir.NodeRef]int) map[ir.NodeRef]int {
 	return c
 }
 
-func identityOrder(n int) []int {
-	o := make([]int, n)
-	for i := range o {
-		o[i] = i
+// finish assembles and verifies the rule after a successful bind; a
+// candidate that fails verification sends the search onward.
+func (s *synthState) finish(name string, root ir.NodeRef, out, drv int) (*Rule, bool) {
+	rule := s.assemble(name, root, out, drv)
+	if verifyRule(rule, &s.ver) != nil {
+		return nil, false
 	}
-	return o
+	return rule, true
 }
 
-// finish assembles and verifies the rule after a successful bind.
-func (s *synthState) finish(name string, root ir.NodeRef, out, drv int) (*Rule, bool) {
+// assemble builds the candidate rule from the current bindings.
+func (s *synthState) assemble(name string, root ir.NodeRef, out, drv int) *Rule {
 	cfg := pe.NewConfig()
 	for k, v := range s.portSel {
 		cfg.PortSel[k] = v
@@ -309,19 +317,41 @@ func (s *synthState) finish(name string, root ir.NodeRef, out, drv int) (*Rule, 
 			rule.BitPorts[v] = indexOf(s.spec.InputsB, u)
 		}
 	}
-	if err := verifyRule(rule); err != nil {
-		if os.Getenv("APEX_DEBUG_RULES") != "" {
-			fmt.Printf("rewrite: rule %s rejected: %v\n", name, err)
-		}
-		return nil, false
-	}
-	return rule, true
+	return rule
 }
 
-// verifyRule proves the configuration implements the pattern: canonical
-// symbolic equality on the formal model, then randomized simulation on
-// the functional model.
-func verifyRule(r *Rule) error {
+// verifyTrials is the number of randomized simulation trials per rule.
+const verifyTrials = 32
+
+// verifyDraws is the fixed random sequence every rule's simulation
+// trials draw from: the Int31 stream of rand.NewSource(0xA9E5), computed
+// once and extended when a rule needs more draws than any before it.
+// Extending never rewrites a drawn value, so a prefix handed out earlier
+// stays valid.
+var verifyDraws struct {
+	mu   sync.Mutex
+	src  rand.Source
+	vals []int32
+}
+
+// verifyDrawPrefix returns the first n values of the verification
+// sequence.
+func verifyDrawPrefix(n int) []int32 {
+	d := &verifyDraws
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.src == nil {
+		d.src = rand.NewSource(0xA9E5)
+	}
+	for len(d.vals) < n {
+		d.vals = append(d.vals, int32(d.src.Int63()>>32))
+	}
+	return d.vals[:n:n]
+}
+
+// formalCheck requires the configured PE's canonical output expression
+// to equal the pattern's.
+func formalCheck(r *Rule) error {
 	// Build the pattern's expression with the rule's naming: pattern
 	// inputs become in<pos>/inb<pos>, pattern constants become c<unit>.
 	rename := map[string]string{}
@@ -346,41 +376,52 @@ func verifyRule(r *Rule) error {
 	if peExpr.Key() != patExpr.Key() {
 		return fmt.Errorf("rewrite: formal mismatch: PE %s vs pattern %s", peExpr, patExpr)
 	}
-	// Randomized cross-check of the functional model.
-	rng := rand.New(rand.NewSource(0xA9E5))
-	for trial := 0; trial < 32; trial++ {
-		inputs := map[string]uint16{}
-		inVals := map[int]uint16{}
-		bitVals := map[int]uint16{}
-		cfg := r.Config.Clone()
-		for v, pos := range r.InputPorts {
-			x := uint16(rng.Intn(1 << 16))
-			inputs[r.Pattern.Nodes[v].Name] = x
-			inVals[pos] = x
-		}
-		for v, pos := range r.BitPorts {
-			x := uint16(rng.Intn(2))
-			inputs[r.Pattern.Nodes[v].Name] = x
-			bitVals[pos] = x
-		}
-		patG := r.Pattern.Clone()
-		for v, cu := range r.ConstRegs {
-			x := uint16(rng.Intn(1 << 16))
-			if patG.Nodes[v].Op == ir.OpConstB {
-				x &= 1
-			}
-			patG.Nodes[v].Val = x
-			cfg.ConstVals[cu] = x
-		}
-		// Keep LUT immediates from the rule config.
-		for u, val := range r.Config.ConstVals {
-			cfg.ConstVals[u] = val
-		}
-		want, err := evalAt(patG, r.Root, inputs)
-		if err != nil {
-			return err
-		}
-		got, err := r.Spec.Evaluate(cfg, inVals, bitVals)
+	return nil
+}
+
+// ruleVerifier is the reusable working state of rule verification. The
+// simulation trials evaluate the pattern straight into a value slice
+// indexed by pattern node and the PE through index-addressed unit
+// values, so after the per-rule setup (the leaf list, the evaluation
+// order, one configuration clone) a trial allocates nothing.
+type ruleVerifier struct {
+	leaves  []ruleLeaf   // bound pattern leaves, ascending node order
+	order   []ir.NodeRef // compute nodes feeding the root, producers first
+	seen    []bool       // per pattern node, while building order
+	patVals []uint16     // per pattern node
+	in      []uint16     // per PE data input
+	bits    []uint16     // per PE bit input
+	uv      pe.UnitValues
+}
+
+// ruleLeaf is one pattern leaf the trials randomize: a data input (port
+// is its PE data-input position), a bit input (PE bit-input position),
+// or a constant parameter (port is its constant unit).
+type ruleLeaf struct {
+	node ir.NodeRef
+	kind ir.Op // OpInput, OpInputB, OpConst or OpConstB
+	port int
+}
+
+// verifyRule proves the configuration implements the pattern: canonical
+// symbolic equality on the formal model, then randomized simulation on
+// the functional model. v is reusable working state.
+func verifyRule(r *Rule, v *ruleVerifier) error {
+	if err := formalCheck(r); err != nil {
+		return err
+	}
+	if err := r.Pattern.Err(); err != nil {
+		return err
+	}
+	v.prepare(r)
+	// The configuration is cloned once; each trial overwrites the same
+	// constant-unit entries. LUT immediates stay as the rule set them.
+	cfg := r.Config.Clone()
+	draws := verifyDrawPrefix(verifyTrials * len(v.leaves))
+	for trial := 0; trial < verifyTrials; trial++ {
+		v.drawTrial(cfg, draws[trial*len(v.leaves):])
+		want := v.evalPattern(r.Pattern)[r.Root]
+		got, err := r.Spec.Evaluate(cfg, v.in, v.bits, &v.uv)
 		if err != nil {
 			return err
 		}
@@ -391,7 +432,93 @@ func verifyRule(r *Rule) error {
 	return nil
 }
 
-// Clone is needed on ir.Graph for verifyRule's constant randomization.
+// prepare lists r's randomized leaves in ascending pattern-node order —
+// so a rule's trial inputs never depend on map iteration — and the
+// evaluation order of the compute nodes feeding its root.
+func (v *ruleVerifier) prepare(r *Rule) {
+	nodes := r.Pattern.Nodes
+	v.leaves = v.leaves[:0]
+	for i := range nodes {
+		ref := ir.NodeRef(i)
+		if pos, ok := r.InputPorts[ref]; ok {
+			v.leaves = append(v.leaves, ruleLeaf{ref, ir.OpInput, pos})
+		} else if pos, ok := r.BitPorts[ref]; ok {
+			v.leaves = append(v.leaves, ruleLeaf{ref, ir.OpInputB, pos})
+		} else if cu, ok := r.ConstRegs[ref]; ok {
+			v.leaves = append(v.leaves, ruleLeaf{ref, nodes[i].Op, cu})
+		}
+	}
+	v.seen = resize(v.seen, len(nodes))
+	clear(v.seen)
+	v.order = v.order[:0]
+	v.visit(nodes, r.Root)
+	v.patVals = resize(v.patVals, len(nodes))
+	for i := range nodes {
+		v.patVals[i] = nodes[i].Val // unbound leaves keep their immediates
+	}
+	v.in = resize(v.in, r.Spec.NumDataInputs())
+	clear(v.in)
+	v.bits = resize(v.bits, r.Spec.NumBitInputs())
+	clear(v.bits)
+}
+
+// visit appends the compute nodes feeding x (x included) to v.order in
+// post-order.
+func (v *ruleVerifier) visit(nodes []ir.Node, x ir.NodeRef) {
+	if v.seen[x] || !nodes[x].Op.IsCompute() {
+		return
+	}
+	v.seen[x] = true
+	for _, a := range nodes[x].Args {
+		v.visit(nodes, a)
+	}
+	v.order = append(v.order, x)
+}
+
+// drawTrial assigns one trial's values to the leaves, in leaf order,
+// from draws: a word input or constant takes the low 16 bits of its
+// draw, a bit input or 1-bit constant the low bit.
+func (v *ruleVerifier) drawTrial(cfg pe.Config, draws []int32) {
+	for i, l := range v.leaves {
+		x := uint16(draws[i] & (1<<16 - 1))
+		switch l.kind {
+		case ir.OpInput:
+			v.in[l.port] = x
+		case ir.OpInputB:
+			x &= 1
+			v.bits[l.port] = x
+		case ir.OpConst:
+			cfg.ConstVals[l.port] = x
+		case ir.OpConstB:
+			x &= 1
+			cfg.ConstVals[l.port] = x
+		}
+		v.patVals[l.node] = x
+	}
+}
+
+// evalPattern evaluates the pattern's compute nodes on the leaf values
+// drawn into v.patVals and returns them, indexed by pattern node.
+func (v *ruleVerifier) evalPattern(g *ir.Graph) []uint16 {
+	var buf [3]uint16 // ir ops take at most three operands
+	for _, x := range v.order {
+		n := &g.Nodes[x]
+		args := buf[:len(n.Args)]
+		for i, a := range n.Args {
+			args[i] = v.patVals[a]
+		}
+		v.patVals[x] = ir.EvalOp(n.Op, args, n.Val)
+	}
+	return v.patVals
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // patternExpr computes the canonical expression of the pattern rooted at
 // root with inputs renamed and constants symbolic per their const unit.
@@ -432,17 +559,6 @@ func patternExpr(g *ir.Graph, root ir.NodeRef, rename map[string]string, constRe
 		return e, nil
 	}
 	return eval(root)
-}
-
-// evalAt evaluates the value of a single node in a graph.
-func evalAt(g *ir.Graph, node ir.NodeRef, inputs map[string]uint16) (uint16, error) {
-	tmp := g.Clone()
-	tmp.Output("__rule_probe", node)
-	outs, err := tmp.Eval(inputs)
-	if err != nil {
-		return 0, err
-	}
-	return outs["__rule_probe"], nil
 }
 
 func indexOf(xs []int, x int) int {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/pe"
 	"repro/internal/rewrite"
 )
 
@@ -72,9 +73,10 @@ func EmitTestbench(peModule string, rule *rewrite.Rule, vectors int, seed int64)
 	fmt.Fprintf(&b, "    cfg = %d'h%s;\n", spec.ConfigBits(), "0") // placeholder; fields set below
 
 	// Drive vectors with expected values from the functional model.
+	var uv pe.UnitValues
+	inVals := make([]uint16, spec.NumDataInputs())
+	bitVals := make([]uint16, spec.NumBitInputs())
 	for v := 0; v < vectors; v++ {
-		inVals := map[int]uint16{}
-		bitVals := map[int]uint16{}
 		for i := range spec.Inputs {
 			inVals[i] = uint16(rng.Intn(1 << 16))
 			fmt.Fprintf(&b, "    in%d = 16'h%04x;\n", i, inVals[i])
@@ -83,7 +85,7 @@ func EmitTestbench(peModule string, rule *rewrite.Rule, vectors int, seed int64)
 			bitVals[i] = uint16(rng.Intn(2))
 			fmt.Fprintf(&b, "    inb%d = 1'b%d;\n", i, bitVals[i])
 		}
-		outs, err := spec.Evaluate(cfg, inVals, bitVals)
+		outs, err := spec.Evaluate(cfg, inVals, bitVals, &uv)
 		if err != nil {
 			return "", fmt.Errorf("rtl: functional model failed on vector %d: %w", v, err)
 		}
