@@ -51,12 +51,14 @@ bench-sweep:
 bench-triage:
 	$(GO) test . -run TestWriteBenchTriage -bench-triage=BENCH_triage.json -count=1 -v -timeout 20m
 
-# The persistent-store and sweep-engine gates (DESIGN.md §12): codecs
-# round-trip pipeline artifacts exactly, poisoned cache entries are
+# The persistent-store and sweep-engine gates (DESIGN.md §12): the one
+# binary codec (internal/wire) bounds every count by the bytes left,
+# codecs round-trip pipeline artifacts exactly and byte-for-byte against
+# pinned digests, poisoned cache entries are
 # detected and recomputed, a warm suite is byte-identical to cold, and a
 # checkpointed sweep resumes without recomputing finished cells.
 sweepcheck:
-	$(GO) test ./internal/store/ -count=1
+	$(GO) test ./internal/wire/ ./internal/store/ -count=1
 	$(GO) test ./internal/eval/ -run TestPersist -count=1
 	$(GO) test -race ./internal/sweep/ -count=1
 
@@ -82,13 +84,19 @@ triagecheck:
 # Short fuzz pass over every fuzz target — canonical-code permutation
 # invariance and collision soundness, the clique solver against its
 # frozen reference (same clique and weight, budget cut-offs included),
-# and the graph and store decoders (hostile bytes must be an error,
-# never a crash or an OOM); CI-sized budget.
+# and every decoder of bytes from disk: the graph, store (decoded rules
+# must validate against their spec), cost-model and sample codecs, the
+# sweep checkpoint and the apexd journal (hostile bytes must be an
+# error, never a crash or an OOM); CI-sized budget.
 fuzz:
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzMaxWeightClique -fuzztime 30s
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzDecodeBinaryGraph -fuzztime 30s
 	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/costmodel/ -run xxx -fuzz FuzzDecodeModel -fuzztime 30s
+	$(GO) test ./internal/costmodel/ -run xxx -fuzz FuzzDecodeSample -fuzztime 30s
+	$(GO) test ./internal/sweep/ -run xxx -fuzz FuzzLoadCheckpoint -fuzztime 30s
+	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzLoadJournal -fuzztime 30s
 
 # The hot-path performance gates (DESIGN.md §10): the annealer inner
 # loop must stay at zero allocations per move and the router within its

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -194,7 +195,7 @@ func TestIncrementalConvergesUnderCongestion(t *testing.T) {
 
 // TestPortfolioPlacement pins the portfolio's determinism contract:
 // Seeds<=1 is byte-identical to a plain Place call, the selection is
-// invariant to the concurrency bound, and widening the portfolio never
+// invariant to GOMAXPROCS (the concurrency bound), and widening the portfolio never
 // worsens the selected wirelength.
 func TestPortfolioPlacement(t *testing.T) {
 	bal := cameraBalanced(t)
@@ -211,11 +212,13 @@ func TestPortfolioPlacement(t *testing.T) {
 		t.Error("Seeds=1 placement differs from the plain single-seed placement")
 	}
 
-	serial, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4, Parallel: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4, Parallel: 8})
+	runtime.GOMAXPROCS(8)
+	wide, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -137,6 +138,23 @@ func TestSampleCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// hugeSamplePayload is a 9-byte sample that declares 1<<20 features:
+// magic, codec version 1, feature schema 1, then the uvarint count.
+var hugeSamplePayload = []byte{'A', 'P', 'X', 'S', 1, 1, 0x80, 0x80, 0x40}
+
+func TestDecodeSampleHugeCountIsError(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSample(hugeSamplePayload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("sample declaring 1<<20 features in 9 bytes decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("rejecting a 9-byte sample allocated %d bytes", grew)
+	}
+}
+
 func TestPredictClamps(t *testing.T) {
 	samples := synthSamples(60, 6)
 	m, err := Train(context.Background(), samples, TrainOptions{Stumps: -1})
@@ -206,4 +224,66 @@ func TestHyperStringReflectsResolvedDefaults(t *testing.T) {
 	if (TrainOptions{Stumps: -1}).Hyper() == (TrainOptions{}).Hyper() {
 		t.Fatal("disabled stumps indistinguishable from defaults")
 	}
+}
+
+// decodeWithinBudget runs decode on data and fails t if it allocates
+// more than a small multiple of the input: hostile bytes must be an
+// error, never a huge allocation.
+func decodeWithinBudget(t *testing.T, data []byte, decode func([]byte) error) error {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode(data)
+	runtime.ReadMemStats(&after)
+	if grew, budget := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+8*len(data)); grew > budget {
+		t.Fatalf("decoding %d bytes allocated %d bytes (budget %d)", len(data), grew, budget)
+	}
+	return err
+}
+
+// FuzzDecodeModel feeds arbitrary bytes to DecodeModel: an error or a
+// model, never a panic or a huge allocation, and a model that decodes
+// re-encodes to bytes that decode to the same encoding.
+func FuzzDecodeModel(f *testing.F) {
+	m, err := Train(context.Background(), synthSamples(40, 8), TrainOptions{Stumps: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(m.Encode())
+	f.Add([]byte{'A', 'P', 'X', 'M', 1, 1, 0, 0x80, 0x80, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got *Model
+		err := decodeWithinBudget(t, data, func(b []byte) (err error) {
+			got, err = DecodeModel(b)
+			return err
+		})
+		if err != nil {
+			return
+		}
+		enc := got.Encode()
+		again, err := DecodeModel(enc)
+		if err != nil || !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("decoded model does not round-trip: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeSample is FuzzDecodeModel for training samples.
+func FuzzDecodeSample(f *testing.F) {
+	f.Add(synthSamples(1, 9)[0].Encode())
+	f.Add(hugeSamplePayload)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got *Sample
+		err := decodeWithinBudget(t, data, func(b []byte) (err error) {
+			got, err = DecodeSample(b)
+			return err
+		})
+		if err != nil {
+			return
+		}
+		enc := got.Encode()
+		again, err := DecodeSample(enc)
+		if err != nil || !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("decoded sample does not round-trip: %v", err)
+		}
+	})
 }

@@ -3,6 +3,8 @@ package graph
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // fuzzGraph decodes a small directed ported labeled graph from fuzz
@@ -143,21 +145,28 @@ func TestCanonicalCodeSeedPairsDistinct(t *testing.T) {
 // unchecked count. A graph that decodes must re-encode to bytes that
 // decode to the same graph. Seeds are real encodings of small graphs.
 func FuzzDecodeBinaryGraph(f *testing.F) {
+	encode := func(g *Graph) []byte {
+		var e wire.Enc
+		g.AppendBinary(&e)
+		return e.Buf
+	}
 	for _, seed := range [][]byte{{2, 0, 1, 0x01, 0x00}, {3, 1, 1, 1, 0x00, 0x01, 0x11, 0x02}, {6, 5, 4, 3, 2, 1, 0}} {
-		f.Add(fuzzGraph(seed).AppendBinary(nil))
+		f.Add(encode(fuzzGraph(seed)))
 	}
 	f.Add([]byte{0xcb, 0xcb, 0xcb, 0xcb, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, _, err := DecodeBinaryGraph(data)
-		if err != nil {
+		d := wire.NewDec(data)
+		g := DecodeBinaryGraph(d)
+		if d.Err() != nil {
 			return
 		}
-		enc := g.AppendBinary(nil)
-		again, rest, err := DecodeBinaryGraph(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("re-encoded graph does not decode: %v (%d trailing bytes)", err, len(rest))
+		enc := encode(g)
+		d = wire.NewDec(enc)
+		again := DecodeBinaryGraph(d)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("re-encoded graph does not decode: %v", err)
 		}
-		if string(again.AppendBinary(nil)) != string(enc) {
+		if string(encode(again)) != string(enc) {
 			t.Fatal("graph encoding is not stable across a decode")
 		}
 	})

@@ -57,6 +57,47 @@ func (r *Rule) String() string {
 	return fmt.Sprintf("rule %s (size %d, %d inputs)", r.Name, r.Size, len(r.InputPorts))
 }
 
+// Validate checks that the rule is consistent with its Spec: the pattern
+// is a valid graph, Root and every pattern node the port and register
+// maps name exist, every PE position and unit index they and OutUnit
+// name is in range, and the configuration is legal for the spec. A
+// synthesized rule always passes; the store runs it on decoded rules so
+// a tampered entry is an error, not an out-of-range index later.
+func (r *Rule) Validate() error {
+	if err := r.Pattern.Validate(); err != nil {
+		return fmt.Errorf("rewrite: rule %s: %w", r.Name, err)
+	}
+	nodes, units := len(r.Pattern.Nodes), len(r.Spec.DP.Units)
+	in := func(i, n int) bool { return i >= 0 && i < n }
+	if !in(int(r.Root), nodes) || !in(r.OutUnit, units) {
+		return fmt.Errorf("rewrite: rule %s: root %d or output unit %d out of range", r.Name, r.Root, r.OutUnit)
+	}
+	for _, m := range []struct {
+		refs map[ir.NodeRef]int
+		n    int
+	}{
+		{r.InputPorts, len(r.Spec.Inputs)},
+		{r.BitPorts, len(r.Spec.InputsB)},
+		{r.ConstRegs, units},
+		{r.LUTUnits, units},
+	} {
+		for ref, i := range m.refs {
+			if !in(int(ref), nodes) || !in(i, m.n) {
+				return fmt.Errorf("rewrite: rule %s: binding %d -> %d out of range", r.Name, ref, i)
+			}
+		}
+	}
+	for u := range r.Config.ConstVals {
+		if !in(u, units) {
+			return fmt.Errorf("rewrite: rule %s: constant for unit %d out of range", r.Name, u)
+		}
+	}
+	if err := r.Spec.Validate(r.Config); err != nil {
+		return fmt.Errorf("rewrite: rule %s: %w", r.Name, err)
+	}
+	return nil
+}
+
 // patternRoot finds the single result node of a pattern graph: the node
 // feeding its first output.
 func patternRoot(g *ir.Graph) (ir.NodeRef, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/ir"
 	"repro/internal/pe"
 	"repro/internal/rewrite"
 )
@@ -20,10 +21,13 @@ func EmitTestbench(peModule string, rule *rewrite.Rule, vectors int, seed int64)
 	rng := rand.New(rand.NewSource(seed))
 
 	// Freeze the rule's configuration, binding its constant registers to
-	// random values for the whole run.
+	// random values for the whole run. Draw in ascending pattern-node
+	// order, not map order, so one seed always yields one testbench.
 	cfg := rule.Config.Clone()
-	for _, cu := range rule.ConstRegs {
-		cfg.ConstVals[cu] = uint16(rng.Intn(1 << 16))
+	for i := range rule.Pattern.Nodes {
+		if cu, ok := rule.ConstRegs[ir.NodeRef(i)]; ok {
+			cfg.ConstVals[cu] = uint16(rng.Intn(1 << 16))
+		}
 	}
 	if err := spec.Validate(cfg); err != nil {
 		return "", err

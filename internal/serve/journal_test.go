@@ -115,3 +115,38 @@ func TestJournalTerminalRetentionCap(t *testing.T) {
 		t.Fatal("oldest terminal job retained, want dropped")
 	}
 }
+
+// FuzzLoadJournal feeds arbitrary bytes to the journal loader as the
+// on-disk file: a corrupt journal must be an error, never a panic, and a
+// loaded one maps each job's ID to that job.
+func FuzzLoadJournal(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.json")
+	if err := saveJournal(seed, map[string]*Job{
+		"j-a": {ID: "j-a", Seq: 3, State: StateQueued, Kind: KindAnalyze, Client: "c"},
+		"j-b": {ID: "j-b", Seq: 5, State: StateDone, Kind: KindEvaluate, Client: "c",
+			Result: []byte(`{"x":1}`), Finished: time.Unix(1, 0).UTC()},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version":1,"jobs":[null,{"id":""},{"id":"x","result":[1,2]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "jobs.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := loadJournal(path)
+		if err != nil {
+			return
+		}
+		for id, j := range jobs {
+			if j == nil || j.ID != id {
+				t.Fatalf("journal entry %q holds %+v", id, j)
+			}
+		}
+	})
+}

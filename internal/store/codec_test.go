@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/ir"
+	"repro/internal/rewrite"
 )
 
 // The codecs must round-trip *exactly*: downstream algorithms (occurrence
@@ -146,8 +148,9 @@ func TestDecodeHugeCountIsError(t *testing.T) {
 
 // FuzzDecode feeds arbitrary bytes to the store's Decode* functions
 // (the first byte picks which): hostile or corrupt payloads must come
-// back as errors, never as a panic or an unbounded allocation. The seed
-// corpus is real pipeline encodings plus the OOM regression payload.
+// back as errors, never as a panic or an unbounded allocation, and every
+// variant that does decode carries only rules valid for its spec. The
+// seed corpus is real pipeline encodings plus the OOM regression payload.
 func FuzzDecode(f *testing.F) {
 	fw, _, a, v, r := pipelineFixtures(f)
 	for kind, payload := range [][]byte{EncodeAnalysis(a), EncodeVariant(v), EncodeResult(r)} {
@@ -159,9 +162,35 @@ func FuzzDecode(f *testing.F) {
 		case 0:
 			DecodeAnalysis(data)
 		case 1:
-			DecodeVariant(data, fw.Tech)
+			v, err := DecodeVariant(data, fw.Tech)
+			if err != nil {
+				return
+			}
+			for _, r := range v.Rules.Rules {
+				if err := r.Validate(); err != nil {
+					t.Fatalf("decoded variant holds an invalid rule: %v", err)
+				}
+			}
 		case 2:
 			DecodeResult(data)
 		}
 	})
+}
+
+// TestDecodeVariantRejectsOutOfSpecRule encodes a well-formed variant
+// whose first rule points outside its PE — an output unit far past the
+// datapath and an operation select on a unit that does not exist. The
+// bytes parse, but the rule could never configure the spec it is stored
+// with, so decoding must fail rather than hand the rule to the mapper.
+func TestDecodeVariantRejectsOutOfSpecRule(t *testing.T) {
+	fw, _, _, v, _ := pipelineFixtures(t)
+	r := *v.Rules.Rules[0]
+	r.OutUnit = 1 << 20
+	r.Config = r.Config.Clone()
+	r.Config.OpSel[len(v.Spec.DP.Units)+5] = ir.OpAdd
+	tampered := *v
+	tampered.Rules = &rewrite.RuleSet{Spec: v.Spec, Rules: append([]*rewrite.Rule{&r}, v.Rules.Rules[1:]...)}
+	if _, err := DecodeVariant(EncodeVariant(&tampered), fw.Tech); err == nil {
+		t.Fatal("variant with an out-of-range rule decoded without error")
+	}
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -147,6 +148,41 @@ func TestCheckpointMergeAndFingerprintGuard(t *testing.T) {
 	if err != nil || !matched || len(done) != 0 {
 		t.Fatalf("missing checkpoint: done=%+v matched=%v err=%v", done, matched, err)
 	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader as
+// the on-disk file: a corrupt checkpoint must be an error, never a panic,
+// and a loaded one holds only successful cells, keyed by their index.
+func FuzzLoadCheckpoint(f *testing.F) {
+	fp := testGrid().Fingerprint()
+	seed := filepath.Join(f.TempDir(), "seed.json")
+	if err := saveCheckpoint(seed, fp, map[int]CellResult{
+		0: {Cell: Cell{Index: 0, App: "camera"}, TotalArea: 1},
+		3: {Cell: Cell{Index: 3, App: "camera", K: 2}, TotalArea: 2, Routability: 1},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"fingerprint":"` + string(fp) + `","done":[{"Index":-1},null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		done, _, err := loadCheckpoint(path, fp)
+		if err != nil {
+			return
+		}
+		for idx, r := range done {
+			if idx != r.Index || r.Err != "" {
+				t.Fatalf("loaded cell %d = %+v", idx, r)
+			}
+		}
+	})
 }
 
 func TestRunWorkerCountInvariance(t *testing.T) {
